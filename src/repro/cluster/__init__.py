@@ -15,9 +15,11 @@ full outage.  This package moves inference into N supervised worker
   budget, and drains gracefully.
 * :mod:`~repro.cluster.router` — rendezvous-hashes model names onto the
   ready workers, with wider replica sets for hot models.
-* :mod:`~repro.cluster.engine` — the ``ServingEngine``-compatible facade:
-  admission control, primary → sibling → surrogate failover, and trace
-  propagation across the process boundary.
+* :mod:`~repro.cluster.engine` — :class:`ClusterEngine`, the sibling of
+  the in-process ``ServingEngine`` under the shared
+  :class:`~repro.serving.engine.Engine` front half: it supplies the
+  primary → sibling failover path and trace propagation across the
+  process boundary; admission and the surrogate fallback are shared.
 """
 
 from .engine import ClusterEngine

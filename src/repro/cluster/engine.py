@@ -1,7 +1,8 @@
-"""The multi-process serving engine: router + supervisor + degradation.
+"""The multi-process model path: router + supervisor over worker processes.
 
-:class:`ClusterEngine` is interface-compatible with
-:class:`~repro.serving.engine.ServingEngine` — the HTTP server, the
+:class:`ClusterEngine` is the sibling of
+:class:`~repro.serving.engine.ServingEngine` under the shared
+:class:`~repro.serving.engine.Engine` front half — the HTTP server, the
 tuning engine, and the lifecycle tap all run unchanged on top of it — but
 predictions execute in supervised worker *processes* instead of the
 request thread, so the GIL stops being the throughput ceiling and a dead
@@ -9,105 +10,91 @@ worker stops being an outage.
 
 The request path, in failure order:
 
-1. **Admission** — identical to the in-process engine: draining sheds
-   with 503 semantics, the hard in-flight bound sheds, the soft bound
-   shortcuts to the surrogate tier.
+1. **Admission** — the shared front half: draining sheds with 503
+   semantics, the hard in-flight bound sheds, the soft bound shortcuts to
+   the surrogate tier.  The front half also loads the artifact into its
+   own registry, which verifies it (with an integrity guard) and keeps
+   the surrogate pinned to the version on disk.
 2. **Routing** — the rendezvous router orders the ready workers into the
    model's replica set (wider for hot models).
 3. **Primary call** — one framed round trip to the first replica.  The
-   worker's own predict/handle timings come back in the response header
-   and are re-recorded as ``worker.execute`` spans in the request's
-   trace (trace context crossed the process boundary in the frame).
+   worker's own predict timing comes back in the response header and is
+   re-recorded as a ``worker.execute`` span in the request's trace
+   (trace context crossed the process boundary in the frame).
 4. **Sibling failover** — a transport failure (SIGKILL mid-flight, wedge
-   timeout, poisoned channel) retries the request once on the next
-   replica, which preloaded the same artifacts and is warm.  Only the
-   failed worker's in-flight requests pay; everyone else is insulated
-   (bulkhead).
+   timeout, poisoned channel) or a worker-side failure retries the
+   request on the next replica, which preloaded the same artifacts and is
+   warm.  Only the failed worker's in-flight requests pay; everyone else
+   is insulated (bulkhead).
 5. **Degraded surrogate** — when every replica fails, or no worker is
    ready at all (restart budget exhausted → supervisor gave up), the
-   locally distilled linear surrogate answers, flagged ``degraded`` —
-   the same contract the reliability layer established: a 2xx with
-   honest provenance beats a connection reset.
+   front half's distilled linear surrogate answers, flagged ``degraded``.
 
-Worker-side errors that are really *caller* errors (unknown model, bad
+Worker replies that are really *caller* errors (unknown model, spent
 deadline) propagate as their exception types and are never failed over:
 a sibling would only repeat them.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..observability.trace import NOOP_SPAN, Tracer
-from ..reliability.degradation import (
-    HealthMonitor,
-    OverloadedError,
-    fit_linear_surrogate,
-)
+from ..reliability.degradation import OverloadedError
 from ..reliability.policies import Deadline, DeadlineExceeded
-from ..serving.engine import PredictionResult, validate_config_matrix
+from ..serving.engine import Engine, Observer, PredictionResult
+from ..serving.engine import validate_config_matrix
 from ..serving.metrics import ServingMetrics
 from ..serving.registry import ModelRegistry
 from ..workload.service import OUTPUT_NAMES
 from .protocol import ProtocolError, WorkerCallError, pack_array, unpack_array
 from .router import RendezvousRouter
-from .supervisor import FAILED, READY, WorkerSupervisor
+from .supervisor import READY, WorkerSupervisor
 
-__all__ = ["ClusterEngine"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..durability.integrity import IntegrityGuard
 
-_SURROGATE_SOURCE = "surrogate:linear"
-
-
-class _Surrogate:
-    __slots__ = ("mtime_ns", "model")
-
-    def __init__(self, mtime_ns: int, model) -> None:
-        self.mtime_ns = mtime_ns
-        self.model = model
+__all__ = ["ClusterEngine", "validate_config_matrix"]
 
 
-class ClusterEngine:
+class ClusterEngine(Engine):
     """Serve predictions from a supervised pool of worker processes.
 
     Parameters
     ----------
     models_dir:
         Artifact directory shared by the local registry (surrogates,
-        tuning) and every worker (primary inference).
+        integrity, tuning) and every worker (primary inference).
     workers:
         Worker-process pool size.
     replication / hot_replication / hot_share / hot_min_requests:
         Router knobs (see :class:`~repro.cluster.router.RendezvousRouter`).
     failover_retries:
-        Sibling attempts after the primary fails at the transport level.
+        Sibling attempts after the primary fails.
     call_timeout:
         Per-call budget on a worker round trip (clamped by any request
         deadline).  A worker silent past this is treated as failed and
         the request fails over.
-    fallback:
-        Distill a linear surrogate per model (at startup, refreshed on
-        artifact change) and answer from it, flagged degraded, when the
-        worker path is exhausted.
-    max_inflight / shed_inflight / retry_after_s:
-        Admission control, same semantics as the in-process engine.
     worker_faults:
         Optional :class:`~repro.reliability.faults.FaultPlan` (or its
         dict form) shipped to every worker — the ``worker.handle`` kill
         points for chaos tests.
-    tracing / tracer / trace_sample_rate / slow_trace_ms / trace_export:
-        Observability wiring, identical to ``ServingEngine``.
-    observer:
-        Traffic tap ``observer(model, configs, outputs, source)`` — the
-        lifecycle observation hook, called after every success.
+    metrics:
+        Optional shared :class:`~repro.serving.metrics.ServingMetrics`.
     supervisor_options:
         Extra keyword arguments forwarded to
         :class:`~repro.cluster.supervisor.WorkerSupervisor` (heartbeat,
         backoff, and budget knobs — the chaos tests tighten these).
+    fallback / max_inflight / shed_inflight / retry_after_s / observer /
+    tracing / tracer / trace_sample_rate / slow_trace_ms / trace_export /
+    integrity:
+        The shared front half's knobs (see
+        :class:`~repro.serving.engine.Engine`).  The model path adds
+        ``worker.call`` child spans, each with the worker's own
+        ``worker.execute`` timing beneath it.
     """
 
     def __init__(
@@ -130,52 +117,32 @@ class ClusterEngine:
         trace_sample_rate: float = 1.0,
         slow_trace_ms: Optional[float] = 500.0,
         trace_export: Optional[Union[str, Path]] = None,
-        observer: Optional[
-            Callable[[str, np.ndarray, np.ndarray, str], None]
-        ] = None,
+        observer: Optional[Observer] = None,
         metrics: Optional[ServingMetrics] = None,
         supervisor_options: Optional[dict] = None,
+        integrity: Optional["IntegrityGuard"] = None,
     ):
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if shed_inflight is not None and shed_inflight < 1:
-            raise ValueError(f"shed_inflight must be >= 1, got {shed_inflight}")
         if failover_retries < 0:
             raise ValueError(
                 f"failover_retries must be >= 0, got {failover_retries}"
             )
-        self.registry = ModelRegistry(models_dir)
-        self.fallback = bool(fallback)
+        super().__init__(
+            ModelRegistry(models_dir),
+            metrics,
+            fallback=fallback,
+            max_inflight=max_inflight,
+            shed_inflight=shed_inflight,
+            retry_after_s=retry_after_s,
+            observer=observer,
+            tracing=tracing,
+            tracer=tracer,
+            trace_sample_rate=trace_sample_rate,
+            slow_trace_ms=slow_trace_ms,
+            trace_export=trace_export,
+            integrity=integrity,
+        )
         self.failover_retries = int(failover_retries)
         self.call_timeout = float(call_timeout)
-        self.max_inflight = max_inflight
-        self.shed_inflight = shed_inflight
-        self.retry_after_s = float(retry_after_s)
-        self.observer = observer
-        self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.health_monitor = HealthMonitor()
-        self._exporter = None
-        if not tracing:
-            self.tracer: Optional[Tracer] = None
-        elif tracer is not None:
-            self.tracer = tracer
-            if self.tracer.on_span_end is None:
-                self.tracer.on_span_end = self.metrics.span_observer()
-        else:
-            if trace_export is not None:
-                from ..observability.trace import JsonlSpanExporter
-
-                self._exporter = JsonlSpanExporter(trace_export)
-            self.tracer = Tracer(
-                sample_rate=trace_sample_rate,
-                slow_threshold_s=(
-                    None if slow_trace_ms is None else slow_trace_ms / 1000.0
-                ),
-                exporter=self._exporter,
-                on_span_end=self.metrics.span_observer(),
-            )
-        if self.tracer is not None and self.registry.tracer is None:
-            self.registry.tracer = self.tracer
         self.router = RendezvousRouter(
             replication=replication,
             hot_replication=hot_replication,
@@ -189,17 +156,12 @@ class ClusterEngine:
             metrics=self.metrics,
             **(supervisor_options or {}),
         )
-        # ServingEngine interface parity for the HTTP layer's /models:
-        # cross-request micro-batching happens per HTTP request already
-        # (multi-config bodies are one vectorized worker call).
+        # The HTTP layer's /models reports these: cross-request
+        # micro-batching happens per HTTP request already (multi-config
+        # bodies are one vectorized worker call).
         self.batching = False
         self.max_batch_size = 0
         self.max_wait_ms = 0.0
-        self._surrogates: Dict[str, _Surrogate] = {}
-        self._inflight = 0
-        self._lock = threading.Lock()
-        self._draining = False
-        self._closed = False
         self._started = False
 
     # ------------------------------------------------------------------
@@ -212,56 +174,29 @@ class ClusterEngine:
             return self
         self.supervisor.start()
         self._started = True
-        if self.fallback:
-            for name in self.registry.list_models():
-                self._surrogate_for(name)
+        for name in self.registry.list_models():
+            try:
+                self._load(name)
+            except Exception:  # noqa: BLE001 - serve the healthy majority
+                continue
         return self
 
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
     def drain(self, timeout: float = 10.0) -> None:
-        """Stop admission, let in-flight requests finish, drain workers."""
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.005)
-        self.supervisor.drain(timeout=max(0.1, deadline - time.monotonic()))
-        if self._exporter is not None:
-            self._exporter.close()
+        """Stop admission, let in-flight requests finish, drain workers.
 
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-        self.supervisor.stop()
-        if self._exporter is not None:
-            self._exporter.close()
+        The default budget matches ``call_timeout``'s default, so a
+        worker call already in flight can finish inside it.
+        """
+        super().drain(timeout)
+
+    def _stop_path(self, drain: bool, timeout: float) -> None:
+        if drain:
+            self.supervisor.drain(timeout=timeout)
+        else:
+            self.supervisor.stop()
 
     def __enter__(self) -> "ClusterEngine":
         return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # serving interface
-    # ------------------------------------------------------------------
-
-    def list_models(self) -> List[str]:
-        return self.registry.list_models()
 
     def reload(self, model_name: str) -> None:
         """Refresh the local registry/surrogate and nudge every worker.
@@ -273,8 +208,7 @@ class ClusterEngine:
         """
         self.registry.reload(model_name)
         self._surrogates.pop(model_name, None)
-        if self.fallback:
-            self._surrogate_for(model_name)
+        self._load(model_name)
         for worker_id in self.supervisor.ready_ids():
             try:
                 self.supervisor.call(
@@ -285,108 +219,32 @@ class ClusterEngine:
             except WorkerCallError:
                 continue
 
-    def predict(
-        self,
-        model_name: str,
-        configs: Sequence[Sequence[float]],
-        deadline: Optional[Deadline] = None,
-    ) -> np.ndarray:
-        return self.predict_detailed(model_name, configs, deadline).outputs
-
-    def predict_one(
-        self, model_name: str, config: Sequence[float]
-    ) -> np.ndarray:
-        return self.predict(model_name, [config])[0]
-
-    def predict_detailed(
-        self,
-        model_name: str,
-        configs: Sequence[Sequence[float]],
-        deadline: Optional[Deadline] = None,
-    ) -> PredictionResult:
-        """Route one prediction through the cluster (see module docs).
-
-        Raises :class:`OverloadedError` when shed, :class:`KeyError` for
-        unknown models, :class:`DeadlineExceeded` when the budget dies,
-        and the last transport error only when no surrogate can answer.
-        """
-        if not self._started:
-            raise RuntimeError(
-                "ClusterEngine.start() must run before predict()"
-            )
-        start = time.perf_counter()
-        span = (
-            self.tracer.start_span("cluster.predict")
-            if self.tracer is not None
-            else NOOP_SPAN
-        )
-        with span:
-            x = validate_config_matrix(configs)
-            if span is not NOOP_SPAN:
-                span.set_attribute("model", model_name)
-                span.set_attribute("n_configs", int(x.shape[0]))
-            with self._lock:
-                if self._draining or self._closed:
-                    self.metrics.record_shed()
-                    raise OverloadedError(
-                        retry_after=self.retry_after_s,
-                        message="cluster engine is draining",
-                    )
-                self._inflight += 1
-                inflight = self._inflight
-            try:
-                if (
-                    self.shed_inflight is not None
-                    and inflight > self.shed_inflight
-                ):
-                    self.metrics.record_shed()
-                    raise OverloadedError(retry_after=self.retry_after_s)
-                soft_overloaded = (
-                    self.max_inflight is not None
-                    and inflight > self.max_inflight
-                )
-                self.router.record(model_name)
-                result = self._predict_routed(
-                    model_name, x, deadline, soft_overloaded
-                )
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-            if result.degraded:
-                self.metrics.record_degraded()
-            if span is not NOOP_SPAN:
-                span.set_attribute("source", result.source)
-        if self.observer is not None:
-            try:
-                self.observer(model_name, x, result.outputs, result.source)
-            except Exception:  # noqa: BLE001 - capture must never fail serving
-                pass
-        self.metrics.record_request(x.shape[0], time.perf_counter() - start)
-        return result
-
+    # ------------------------------------------------------------------
+    # model path
     # ------------------------------------------------------------------
 
-    def _predict_routed(
+    def _predict_path(
         self,
         model_name: str,
         x: np.ndarray,
         deadline: Optional[Deadline],
-        soft_overloaded: bool,
     ) -> PredictionResult:
-        if deadline is not None:
-            deadline.check("cluster predict")
-        surrogate = (
-            self._surrogate_for(model_name) if self.fallback else None
-        )
-        if soft_overloaded and surrogate is not None:
-            return self._answer_degraded(model_name, x, surrogate)
-        if model_name not in self.registry:
-            raise KeyError(f"unknown model {model_name!r}")
+        """Primary replica, then siblings (see module docs)."""
+        if not self._started:
+            raise RuntimeError(
+                "ClusterEngine.start() must run before predict()"
+            )
+        self._load(model_name)  # KeyError if unknown
+        self.router.record(model_name)
         replicas = self.router.replicas(
             model_name, self.supervisor.ready_ids()
         )
+        if not replicas:
+            raise OverloadedError(
+                retry_after=self.retry_after_s,
+                message=f"no ready workers for model {model_name!r}",
+            )
         payload = pack_array(x)
-        last_error: Optional[BaseException] = None
         for attempt, worker_id in enumerate(
             replicas[: 1 + self.failover_retries]
         ):
@@ -396,24 +254,9 @@ class ClusterEngine:
                 return self._call_worker(
                     model_name, x, payload, worker_id, attempt, deadline
                 )
-            except (WorkerCallError, _WorkerSideError) as exc:
-                last_error = exc
-                continue
-        if surrogate is not None:
-            return self._answer_degraded(model_name, x, surrogate)
-        if last_error is not None:
-            raise (
-                last_error.cause
-                if isinstance(last_error, _WorkerSideError)
-                else last_error
-            )
-        raise OverloadedError(
-            retry_after=self.retry_after_s,
-            message=(
-                f"no ready workers for model {model_name!r} and no "
-                "surrogate fallback"
-            ),
-        )
+            except WorkerCallError as exc:
+                error = exc
+        raise error
 
     def _call_worker(
         self,
@@ -458,47 +301,38 @@ class ClusterEngine:
             header["trace_id"] = call_span.trace_id
             header["parent_span_id"] = call_span.span_id
         with call_span:
-            try:
-                resp, resp_payload = self.supervisor.call(
-                    worker_id, header, payload, timeout=timeout
-                )
-            except WorkerCallError as exc:
-                call_span.record_error(exc)
-                raise
+            resp, resp_payload = self.supervisor.call(
+                worker_id, header, payload, timeout=timeout
+            )
             if not resp.get("ok"):
                 kind = resp.get("kind", "RuntimeError")
                 error = resp.get("error", "worker error")
                 if kind == "KeyError":
                     raise KeyError(f"unknown model {model_name!r}")
-                if kind == "ValueError":
-                    raise ValueError(error)
                 if kind == "DeadlineExceeded":
                     raise DeadlineExceeded(error)
-                exc = RuntimeError(f"worker {worker_id}: {kind}: {error}")
-                call_span.record_error(exc)
-                # Not a transport failure, but not a caller error either
-                # (an artifact or model blew up in the worker): a sibling
+                # Not a caller error (the front half validated the input):
+                # an artifact or model failed in the worker, and a sibling
                 # with its own loaded copy may still answer.
-                raise _WorkerSideError(exc)
+                raise WorkerCallError(worker_id, f"{kind}: {error}")
             try:
                 outputs = unpack_array(
                     resp_payload, int(resp["n"]), int(resp["m"])
                 )
             except (KeyError, ValueError, ProtocolError) as exc:
-                raise _WorkerSideError(
-                    RuntimeError(f"worker {worker_id}: bad response: {exc}")
+                raise WorkerCallError(
+                    worker_id, f"bad response: {exc}"
                 ) from exc
             if outputs.shape[1] != len(OUTPUT_NAMES):
-                raise _WorkerSideError(
-                    RuntimeError(
-                        f"worker {worker_id} returned {outputs.shape[1]} "
-                        f"outputs, expected {len(OUTPUT_NAMES)}"
-                    )
+                raise WorkerCallError(
+                    worker_id,
+                    f"returned {outputs.shape[1]} outputs, expected "
+                    f"{len(OUTPUT_NAMES)}",
                 )
             if call_span is not NOOP_SPAN:
                 call_span.set_attribute("n_configs", int(x.shape[0]))
                 predict_s = resp.get("predict_s")
-                if predict_s is not None and tracer is not None:
+                if predict_s is not None:
                     # The worker's own forward-pass timing, re-attached
                     # to this trace as a retrospective child span.
                     tracer.record_span(
@@ -507,53 +341,14 @@ class ClusterEngine:
                         parent=call_span,
                         attributes={"worker": worker_id},
                     )
-        return PredictionResult(
-            outputs, degraded=False, source=f"worker:{worker_id}"
-        )
-
-    def _answer_degraded(
-        self, model_name: str, x: np.ndarray, surrogate: _Surrogate
-    ) -> PredictionResult:
-        span = (
-            self.tracer.start_span(
-                "fallback.surrogate", attributes={"model": model_name}
-            )
-            if self.tracer is not None
-            else NOOP_SPAN
-        )
-        with span:
-            outputs = np.asarray(surrogate.model.predict(x), dtype=float)
-        return PredictionResult(outputs, degraded=True, source=_SURROGATE_SOURCE)
-
-    def _surrogate_for(self, model_name: str) -> Optional[_Surrogate]:
-        """The distilled fallback for ``model_name``, refreshed on change.
-
-        Best-effort by design: a stale surrogate is better than none, and
-        none is better than an exception on the degradation path.
-        """
-        current = self._surrogates.get(model_name)
-        try:
-            entry = self.registry.get_entry(model_name)
-        except Exception:  # noqa: BLE001 - artifact gone/corrupt: keep stale
-            return current
-        if current is not None and current.mtime_ns == entry.mtime_ns:
-            return current
-        try:
-            surrogate = _Surrogate(
-                entry.mtime_ns, fit_linear_surrogate(entry.model)
-            )
-        except Exception:  # noqa: BLE001 - fallback is best-effort
-            return current
-        with self._lock:
-            self._surrogates[model_name] = surrogate
-        return surrogate
+        return PredictionResult(outputs, source=f"worker:{worker_id}")
 
     # ------------------------------------------------------------------
     # health
     # ------------------------------------------------------------------
 
-    def health(self) -> dict:
-        """The ``/healthz`` payload: worker pool state as the evidence.
+    def _health_evidence(self) -> Tuple[Dict[str, str], bool, dict]:
+        """Worker pool state as the evidence.
 
         Worker states are folded into the health monitor as pseudo
         breaker inputs (a not-ready worker reads as a tripped path), so
@@ -561,39 +356,16 @@ class ClusterEngine:
         log — is exactly the one the single-process engine exposes.
         """
         status = self.supervisor.status()
-        with self._lock:
-            inflight = self._inflight
-            draining = self._draining
-            surrogates = sorted(self._surrogates)
-        shedding = (
-            self.shed_inflight is not None and inflight > self.shed_inflight
-        )
         worker_paths = {
             f"worker:{w['worker']}": (
                 "closed" if w["state"] == READY else "open"
             )
             for w in status["workers"]
         }
-        servable = status["ready"] > 0 or (self.fallback and bool(surrogates))
-        health_status = self.health_monitor.update(
-            worker_paths, shedding=shedding, servable=servable
-        )
-        return {
-            "status": health_status,
-            "models": len(self.list_models()),
+        servable = status["ready"] > 0 or bool(self._surrogates)
+        return worker_paths, servable, {
             "workers": status["workers"],
             "ready_workers": status["ready"],
             "failed_workers": status["failed"],
             "worker_restarts_total": status["restarts_total"],
-            "fallbacks": surrogates,
-            "inflight": inflight,
-            "draining": draining,
         }
-
-
-class _WorkerSideError(Exception):
-    """An application-level worker failure eligible for sibling retry."""
-
-    def __init__(self, cause: BaseException):
-        self.cause = cause
-        super().__init__(str(cause))

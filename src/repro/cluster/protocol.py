@@ -62,12 +62,14 @@ class ProtocolError(RuntimeError):
 
 
 class WorkerCallError(RuntimeError):
-    """A call to a worker failed at the transport level.
+    """A call to a worker failed for a reason that is the worker's own.
 
     Raised by the supervisor for timeouts, resets, short reads, and
     worker-side crashes — everything that makes *this worker* suspect
-    without saying anything about the request itself.  The router treats
-    it as "try a sibling replica".
+    without saying anything about the request itself — and by the
+    cluster engine for a worker's ``ok: false`` reply that is not a
+    caller error (an artifact or model failing in that worker).  The
+    router treats it as "try a sibling replica".
     """
 
     def __init__(self, worker_id: int, message: str):

@@ -4,7 +4,7 @@ The serving PR made the paper's models a long-running service; this package
 makes that service survivable.  :mod:`~repro.reliability.policies` holds the
 control-flow primitives (:class:`Deadline`, :class:`RetryPolicy`,
 :class:`CircuitBreaker`), :mod:`~repro.reliability.degradation` the
-surrogate :class:`FallbackChain`, load-shedding error, and the
+linear surrogate fit, load-shedding error, and the
 ``healthy/degraded/unhealthy`` :class:`HealthMonitor`, and
 :mod:`~repro.reliability.faults` a deterministic :class:`FaultPlan` harness
 so every one of those paths is exercised by tests instead of outages.
@@ -14,8 +14,6 @@ from .degradation import (
     DEGRADED,
     HEALTHY,
     UNHEALTHY,
-    FallbackChain,
-    FallbackResult,
     HealthMonitor,
     OverloadedError,
     fit_linear_surrogate,
@@ -57,8 +55,6 @@ __all__ = [
     "OPEN",
     "HALF_OPEN",
     "BREAKER_STATES",
-    "FallbackChain",
-    "FallbackResult",
     "HealthMonitor",
     "OverloadedError",
     "fit_linear_surrogate",

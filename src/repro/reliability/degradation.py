@@ -8,14 +8,14 @@ Recurrent Neural Networks*, arXiv:2002.10788); here the backup is a linear
 least-squares surrogate distilled from the MLP itself at registration
 time, so it exists even when the original training data is long gone.
 
-Three pieces:
+Two pieces:
 
 * :func:`fit_linear_surrogate` — probe a loaded
   :class:`~repro.models.neural.NeuralWorkloadModel` over its standardized
   input region and fit a :class:`~repro.models.linear.LinearWorkloadModel`
-  to the probes (a few milliseconds, no training data needed).
-* :class:`FallbackChain` — ordered predictors tried until one answers;
-  answers past the first tier are flagged *degraded*.
+  to the probes (a few milliseconds, no training data needed).  The
+  serving front half (:class:`~repro.serving.engine.Engine`) answers from
+  it, flagged *degraded*, when the model path fails.
 * :class:`HealthMonitor` — the ``healthy`` / ``degraded`` / ``unhealthy``
   state machine surfaced on ``/healthz``, with a transition log.
 
@@ -26,8 +26,7 @@ Plus :class:`OverloadedError`, the exception the HTTP layer maps to
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +39,6 @@ __all__ = [
     "UNHEALTHY",
     "OverloadedError",
     "fit_linear_surrogate",
-    "FallbackResult",
-    "FallbackChain",
     "HealthMonitor",
 ]
 
@@ -112,63 +109,6 @@ def fit_linear_surrogate(
         -spread, spread, size=(int(n_probes), int(n_inputs))
     )
     return LinearWorkloadModel(ridge=ridge).fit(probes, model.predict(probes))
-
-
-@dataclass
-class FallbackResult:
-    """One answered prediction plus where in the chain it came from."""
-
-    outputs: np.ndarray
-    source: str
-    tier: int
-
-    @property
-    def degraded(self) -> bool:
-        """Whether a non-primary tier answered."""
-        return self.tier > 0
-
-
-class FallbackChain:
-    """Ordered ``(name, predict_fn)`` tiers tried until one answers.
-
-    Tier 0 is the primary (the MLP path); anything after it is a
-    degraded-mode surrogate.  ``predict`` raises the *primary* tier's
-    error when every tier fails, so callers see the root cause rather
-    than the surrogate's complaint.
-    """
-
-    def __init__(
-        self,
-        tiers: Sequence[Tuple[str, Callable[[np.ndarray], np.ndarray]]],
-    ):
-        self.tiers = list(tiers)
-        if not self.tiers:
-            raise ValueError("FallbackChain needs at least one tier")
-
-    def predict(
-        self, x: np.ndarray, start_tier: int = 0
-    ) -> FallbackResult:
-        """Try tiers from ``start_tier`` on; first success wins."""
-        if not 0 <= start_tier < len(self.tiers):
-            raise ValueError(
-                f"start_tier must be in [0, {len(self.tiers)}), got {start_tier}"
-            )
-        first_error: Optional[BaseException] = None
-        for tier in range(start_tier, len(self.tiers)):
-            name, predict_fn = self.tiers[tier]
-            try:
-                outputs = np.asarray(predict_fn(x), dtype=float)
-            except Exception as exc:  # noqa: BLE001 - tier failure, try next
-                if first_error is None:
-                    first_error = exc
-                continue
-            return FallbackResult(outputs=outputs, source=name, tier=tier)
-        raise first_error if first_error is not None else RuntimeError(
-            "fallback chain has no tiers to try"
-        )
-
-    def __len__(self) -> int:
-        return len(self.tiers)
 
 
 class HealthMonitor:

@@ -1,31 +1,33 @@
-"""The in-process serving engine: registry + cache + batchers + reliability.
+"""The serving engines: one shared front half, two model paths.
 
-:class:`ServingEngine` is the piece every front end shares — the HTTP
-server, the benchmark, and embedded callers all route queries through it.
-Each query first consults the :class:`~repro.serving.cache.PredictionCache`
-(exact repeats skip the network entirely), then either goes through that
-model's :class:`~repro.serving.batcher.MicroBatcher` (coalescing with
-concurrent callers) or straight into one vectorized ``predict`` when
-batching is off.  All traffic is counted in
-:class:`~repro.serving.metrics.ServingMetrics`.
+:class:`Engine` is the front half every backend shares — the HTTP
+server, the tuner, the lifecycle tap and embedded callers all route
+queries through it:
 
-The engine is also where the reliability layer lives:
-
-* a per-model :class:`~repro.reliability.policies.CircuitBreaker` guards
-  the MLP path — repeated artifact/model failures open it, and recovery is
-  probed half-open before trusting the path again;
-* a linear surrogate is distilled from every model at registration (first
-  successful load) and answers in the MLP's place when the primary path
-  fails, the breaker is open, or the admission queue is past its soft
-  bound — callers see a *degraded* 2xx instead of an error;
-* admission control sheds load past the hard bound with
+* validation of the ``(n, 4)`` configuration matrix;
+* admission control: draining or closed engines shed with
   :class:`~repro.reliability.degradation.OverloadedError` (HTTP 503 +
-  ``Retry-After``), and a
-  :class:`~repro.reliability.degradation.HealthMonitor` turns breaker +
-  shedding state into the ``healthy/degraded/unhealthy`` answer on
-  ``/healthz``;
-* an optional :class:`~repro.reliability.policies.Deadline` rides each
-  request from the client through here into the batcher wait.
+  ``Retry-After``), as does the hard in-flight bound; past the soft bound
+  the linear surrogate answers instead of the model path;
+* a linear surrogate distilled from each artifact version the first time
+  it loads, answering (flagged *degraded*) whenever the model path fails
+  — callers see a degraded 2xx instead of an error;
+* the ``engine.predict`` root span, request metrics, the observer tap,
+  and the :class:`~repro.reliability.degradation.HealthMonitor` behind
+  ``/healthz``.
+
+Two sibling subclasses supply the model path.  :class:`ServingEngine`
+runs it in-process: each query first consults the
+:class:`~repro.serving.cache.PredictionCache`, then goes through that
+model's :class:`~repro.serving.batcher.MicroBatcher` (or one vectorized
+``predict`` when batching is off), guarded per model by a
+:class:`~repro.reliability.policies.CircuitBreaker`.  The multi-process
+:class:`~repro.cluster.engine.ClusterEngine` runs it in supervised
+worker processes.  Between the halves one rule holds: :class:`KeyError`
+(unknown model) and
+:class:`~repro.reliability.policies.DeadlineExceeded` reach the caller,
+and any other exception from a model path is a path failure that the
+front half answers from the surrogate, or re-raises when none exists.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -60,25 +64,27 @@ from ..workload.service import INPUT_NAMES, OUTPUT_NAMES
 from .batcher import MicroBatcher
 from .cache import PredictionCache
 from .metrics import ServingMetrics
-from .registry import ModelRegistry
+from .registry import ModelRegistry, RegistryEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..durability.integrity import IntegrityGuard
     from ..models.linear import LinearWorkloadModel
     from ..reliability.faults import FaultPlan
 
-__all__ = ["ServingEngine", "PredictionResult", "validate_config_matrix"]
+__all__ = [
+    "Engine", "ServingEngine", "PredictionResult", "validate_config_matrix"
+]
 
 _SURROGATE_SOURCE = "surrogate:linear"
+
+Observer = Callable[[str, np.ndarray, np.ndarray, str], None]
 
 
 def validate_config_matrix(configs: Sequence[Sequence[float]]) -> np.ndarray:
     """Coerce ``configs`` to a validated ``(n, len(INPUT_NAMES))`` matrix.
 
-    The one admission contract every engine front end shares (in-process
-    :class:`ServingEngine` and the multi-process cluster engine alike):
-    two-dimensional, the paper's input order, finite floats.  Raises
-    :class:`ValueError` otherwise.
+    The admission contract of every engine: two-dimensional, the paper's
+    input order, finite floats.  Raises :class:`ValueError` otherwise.
     """
     x = np.asarray(configs, dtype=float)
     if x.ndim == 1:
@@ -110,43 +116,44 @@ class _Surrogate:
     model: "LinearWorkloadModel"
 
 
-class ServingEngine:
+class Engine:
     """Serve predictions from every model in a registry directory.
+
+    The shared front half.  Subclasses supply the rest:
+
+    * ``_predict_path(model_name, x, deadline) -> PredictionResult`` —
+      the model path for a validated matrix ``x``.  It loads the artifact
+      through :meth:`_load`, which keeps the surrogate pinned to the
+      version on disk, and may raise freely under the rule in the module
+      docs;
+    * ``_health_evidence() -> (path states, servable, payload fields)``
+      for :meth:`health`, path states being breaker states
+      (``closed``/``open``/``half_open``) keyed by path name;
+    * ``_stop_path(drain, timeout)`` — stop the model path, completing
+      its queued work when ``drain``;
+    * ``reload(model_name)`` — hot-swap one model.
 
     Parameters
     ----------
     registry:
-        A :class:`~repro.serving.registry.ModelRegistry`, or a directory
-        path to build one from.
-    batching:
-        Route queries through per-model micro-batchers.  Off, each
-        request runs its own vectorized ``predict`` (still batched
-        *within* a multi-config request).
-    max_batch_size / max_wait_ms:
-        Micro-batcher knobs (see :class:`~repro.serving.batcher.MicroBatcher`).
-    cache_size / cache_decimals:
-        Prediction-cache knobs; ``cache_size=0`` disables caching.
+        The :class:`~repro.serving.registry.ModelRegistry` the front half
+        loads artifacts from (surrogates, integrity, the tuner).
+    metrics:
+        The :class:`~repro.serving.metrics.ServingMetrics` every request
+        is counted in; a fresh one when ``None``.
     fallback:
-        Distill a linear surrogate from each model at registration and
-        answer from it (flagged *degraded*) when the MLP path fails.
+        Distill a linear surrogate from each artifact version and answer
+        from it (flagged *degraded*) when the model path fails.
     max_inflight:
         Soft admission bound: above this many concurrent requests the
-        engine answers from the surrogate instead of queueing on the
-        batcher.  ``None`` disables the bound.
+        surrogate answers instead of the model path.  ``None`` disables
+        the bound.
     shed_inflight:
         Hard admission bound: above this many concurrent requests the
         engine sheds with :class:`OverloadedError` (→ 503 + Retry-After).
         ``None`` disables shedding.
-    breaker_window / breaker_failure_threshold / breaker_min_samples /
-    breaker_reset_timeout:
-        Per-model :class:`CircuitBreaker` knobs.
     retry_after_s:
         The ``Retry-After`` hint attached to shed requests.
-    clock:
-        Monotonic time source for the breakers (injectable for tests).
-    faults:
-        Optional :class:`~repro.reliability.faults.FaultPlan` handed to
-        the registry (when built here) and every micro-batcher.
     observer:
         Optional traffic tap called after every successful prediction as
         ``observer(model_name, configs, outputs, source)`` with the
@@ -162,10 +169,9 @@ class ServingEngine:
         optional JSONL export to ``trace_export``) wired into the
         metrics' per-stage histograms; pass ``tracer`` to share one
         across components, or ``tracing=False`` to disable spans
-        entirely.  Every predict emits an ``engine.predict`` span with
-        ``cache.lookup``, ``batcher.queue_wait`` / ``batcher.execute``
-        (or ``model.predict``), ``registry.load`` and
-        ``fallback.surrogate`` children as the request exercises them.
+        entirely.  Every predict emits an ``engine.predict`` span whose
+        children the model path adds, plus ``registry.load`` and
+        ``fallback.surrogate`` as the request exercises them.
     integrity:
         Optional :class:`~repro.durability.integrity.IntegrityGuard`
         attached to the registry: artifacts are sha256-verified on every
@@ -176,25 +182,13 @@ class ServingEngine:
 
     def __init__(
         self,
-        registry: Union[ModelRegistry, str, Path],
-        batching: bool = True,
-        max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
-        cache_size: int = 1024,
-        cache_decimals: int = 6,
+        registry: ModelRegistry,
+        metrics: Optional[ServingMetrics] = None,
         fallback: bool = True,
         max_inflight: Optional[int] = None,
         shed_inflight: Optional[int] = None,
-        breaker_window: int = 10,
-        breaker_failure_threshold: float = 0.5,
-        breaker_min_samples: int = 3,
-        breaker_reset_timeout: float = 5.0,
         retry_after_s: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-        faults: Optional["FaultPlan"] = None,
-        observer: Optional[
-            Callable[[str, np.ndarray, np.ndarray, str], None]
-        ] = None,
+        observer: Optional[Observer] = None,
         tracing: bool = True,
         tracer: Optional[Tracer] = None,
         trace_sample_rate: float = 1.0,
@@ -202,33 +196,21 @@ class ServingEngine:
         trace_export: Optional[Union[str, Path]] = None,
         integrity: Optional["IntegrityGuard"] = None,
     ):
-        if not isinstance(registry, ModelRegistry):
-            registry = ModelRegistry(registry, faults=faults)
-        if integrity is not None:
-            registry.integrity = integrity
-        self.registry = registry
-        self.batching = bool(batching)
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
-        self.fallback = bool(fallback)
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if shed_inflight is not None and shed_inflight < 1:
             raise ValueError(f"shed_inflight must be >= 1, got {shed_inflight}")
+        self.registry = registry
+        self.metrics = metrics if metrics is not None else ServingMetrics()
+        if integrity is not None:
+            registry.integrity = integrity
+            if integrity.metrics is None:
+                integrity.metrics = self.metrics
+        self.fallback = bool(fallback)
         self.max_inflight = max_inflight
         self.shed_inflight = shed_inflight
-        self.breaker_window = int(breaker_window)
-        self.breaker_failure_threshold = float(breaker_failure_threshold)
-        self.breaker_min_samples = int(breaker_min_samples)
-        self.breaker_reset_timeout = float(breaker_reset_timeout)
         self.retry_after_s = float(retry_after_s)
-        self.clock = clock
-        self.faults = faults
         self.observer = observer
-        self.cache = PredictionCache(cache_size, decimals=cache_decimals)
-        self.metrics = ServingMetrics(cache=self.cache)
-        if integrity is not None and integrity.metrics is None:
-            integrity.metrics = self.metrics
         self.health_monitor = HealthMonitor()
         self._exporter: Optional[JsonlSpanExporter] = None
         if not tracing:
@@ -249,12 +231,9 @@ class ServingEngine:
                 on_span_end=self.metrics.span_observer(),
             )
         # The registry traces its (rare) artifact loads into the same tree.
-        if self.tracer is not None and self.registry.tracer is None:
-            self.registry.tracer = self.tracer
-        self._batchers: Dict[str, MicroBatcher] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        if self.tracer is not None and registry.tracer is None:
+            registry.tracer = self.tracer
         self._surrogates: Dict[str, _Surrogate] = {}
-        self._seen_mtimes: Dict[str, int] = {}
         self._inflight = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -289,10 +268,11 @@ class ServingEngine:
     ) -> PredictionResult:
         """Like :meth:`predict` but reports whether a fallback answered.
 
-        Raises :class:`OverloadedError` when the hard admission bound
-        sheds the request, :class:`CircuitOpenError` when the breaker is
-        open and no surrogate exists, and :class:`DeadlineExceeded` when
-        the caller's budget lapses mid-request.
+        Raises :class:`KeyError` for an unknown model,
+        :class:`OverloadedError` when admission sheds the request,
+        :class:`DeadlineExceeded` when the caller's budget lapses, and the
+        model path's own error (e.g. ``CircuitOpenError``) only when no
+        surrogate can answer.
         """
         start = time.perf_counter()
         span = (
@@ -307,13 +287,13 @@ class ServingEngine:
                 span.set_attribute("n_configs", int(x.shape[0]))
 
             with self._lock:
-                if self._draining:
+                if self._draining or self._closed:
                     # Admission is closed: the caller should retry against
                     # another replica (503 + Retry-After at the HTTP layer).
                     self.metrics.record_shed()
                     raise OverloadedError(
                         retry_after=self.retry_after_s,
-                        message="serving engine is draining",
+                        message="serving engine is not admitting requests",
                     )
                 self._inflight += 1
                 inflight = self._inflight
@@ -328,9 +308,7 @@ class ServingEngine:
                     self.max_inflight is not None
                     and inflight > self.max_inflight
                 )
-                result = self._predict_guarded(
-                    model_name, x, deadline, soft_overloaded
-                )
+                result = self._answer(model_name, x, deadline, soft_overloaded)
             finally:
                 with self._lock:
                     self._inflight -= 1
@@ -352,79 +330,286 @@ class ServingEngine:
         """Single-configuration convenience; returns a length-5 vector."""
         return self.predict(model_name, [config])[0]
 
-    # ------------------------------------------------------------------
-    # guarded prediction path
-    # ------------------------------------------------------------------
-
-    def _predict_guarded(
+    def _answer(
         self,
         model_name: str,
         x: np.ndarray,
         deadline: Optional[Deadline],
         soft_overloaded: bool,
     ) -> PredictionResult:
-        breaker = self._breaker_for(model_name)
+        """The model path, or the surrogate when it cannot answer."""
+        if deadline is not None:
+            deadline.check("predict")
         surrogate = self._surrogates.get(model_name)
-        shortcut_to_fallback = (
-            soft_overloaded and self.fallback and surrogate is not None
-        )
-        primary_error: Optional[BaseException] = None
-        if not shortcut_to_fallback and breaker.allow():
+        if surrogate is None or not soft_overloaded:
             try:
-                outputs = self._predict_primary(model_name, x, deadline)
-            except KeyError:
-                # Unknown model (no artifact on disk) — a caller error,
-                # not a path failure; don't move the breaker.
-                breaker.cancel()
+                return self._predict_path(model_name, x, deadline)
+            except (KeyError, DeadlineExceeded):
+                # A caller error, or no time left to fall back.
                 raise
-            except DeadlineExceeded:
-                # The budget died waiting on this path: that is a primary
-                # failure, but there is no time left to fall back.
-                breaker.record_failure()
-                raise
-            except Exception as exc:  # noqa: BLE001 - routed to fallback
-                breaker.record_failure()
-                primary_error = exc
-            else:
-                breaker.record_success()
-                return PredictionResult(outputs, degraded=False, source="mlp")
-        surrogate = self._surrogates.get(model_name)
-        if self.fallback and surrogate is not None:
-            fallback_span = (
-                self.tracer.start_span(
-                    "fallback.surrogate", attributes={"model": model_name}
-                )
-                if self.tracer is not None
-                else NOOP_SPAN
+            except Exception:  # noqa: BLE001 - path failure: degrade
+                surrogate = self._surrogates.get(model_name)
+                if surrogate is None:
+                    raise
+        fallback_span = (
+            self.tracer.start_span(
+                "fallback.surrogate", attributes={"model": model_name}
             )
-            with fallback_span:
-                outputs = np.asarray(surrogate.model.predict(x), dtype=float)
-            return PredictionResult(
-                outputs, degraded=True, source=_SURROGATE_SOURCE
-            )
-        if primary_error is not None:
-            raise primary_error
-        if soft_overloaded:
-            self.metrics.record_shed()
-            raise OverloadedError(retry_after=self.retry_after_s)
-        error = CircuitOpenError(
-            retry_after=max(breaker.retry_after(), 0.05),
-            message=(
-                f"model {model_name!r} is circuit-broken and has no "
-                f"fallback; retry after {breaker.retry_after():.2f}s"
-            ),
+            if self.tracer is not None
+            else NOOP_SPAN
         )
-        if self.tracer is not None:
-            # A refused call has no duration worth measuring; record the
-            # rejection itself so the trace shows *why* nothing ran.
-            self.tracer.record_span(
-                "breaker.rejected",
-                duration_s=0.0,
-                status=STATUS_ERROR,
-                error=f"CircuitOpenError: {error}",
-                attributes={"model": model_name},
+        with fallback_span:
+            outputs = np.asarray(surrogate.model.predict(x), dtype=float)
+        return PredictionResult(
+            outputs, degraded=True, source=_SURROGATE_SOURCE
+        )
+
+    def _load(self, model_name: str) -> RegistryEntry:
+        """Load ``model_name`` and (re)fit its surrogate on a new version.
+
+        Raises :class:`KeyError` for an unknown model and
+        :class:`ValueError` for an artifact that will not load.  The
+        surrogate is distilled the first time an artifact version loads,
+        and the last good one survives later load failures — that is the
+        whole point of having it.
+        """
+        entry = self.registry.get_entry(model_name)
+        current = self._surrogates.get(model_name)
+        if self.fallback and (
+            current is None or current.mtime_ns != entry.mtime_ns
+        ):
+            try:
+                surrogate = fit_linear_surrogate(entry.model)
+            except Exception:  # noqa: BLE001 - fallback is best-effort
+                return entry
+            with self._lock:
+                self._surrogates[model_name] = _Surrogate(
+                    mtime_ns=entry.mtime_ns, model=surrogate
+                )
+        return entry
+
+    # ------------------------------------------------------------------
+    # health
+    # ------------------------------------------------------------------
+
+    def health(self) -> dict:
+        """The ``/healthz`` payload: status plus the evidence behind it."""
+        models = self.list_models()
+        paths, servable, evidence = self._health_evidence()
+        with self._lock:
+            inflight = self._inflight
+            closed = self._closed
+            draining = self._draining
+            fallbacks = sorted(self._surrogates)
+        shedding = (
+            self.shed_inflight is not None and inflight > self.shed_inflight
+        )
+        status = self.health_monitor.update(
+            paths,
+            shedding=shedding,
+            servable=servable and not closed and bool(models),
+        )
+        return {
+            "status": status,
+            "models": len(models),
+            **evidence,
+            "fallbacks": fallbacks,
+            "inflight": inflight,
+            "draining": draining,
+        }
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def draining(self) -> bool:
+        """Whether admission is closed (``/readyz`` answers not-ready)."""
+        with self._lock:
+            return self._draining
+
+    @property
+    def inflight(self) -> int:
+        """Requests currently past admission (drives the tuning shed tier)."""
+        with self._lock:
+            return self._inflight
+
+    def drain(self, timeout: float = 5.0) -> None:
+        """Graceful shutdown: refuse new work, finish what was admitted.
+
+        Flips the engine into draining mode (new :meth:`predict` calls
+        shed with 503 + Retry-After and ``/readyz`` reports not-ready),
+        waits up to ``timeout`` for the requests that already passed
+        admission, lets the model path finish the work queued on it,
+        and flushes the trace exporter.  The engine refuses new work
+        afterwards; call it once, from the SIGTERM / ``/admin/drain``
+        path.  Idempotent.
+        """
+        with self._lock:
+            if self._draining:
+                return
+            self._draining = True
+        deadline = time.monotonic() + max(0.0, float(timeout))
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self._inflight == 0:
+                    break
+            time.sleep(0.005)
+        remaining = max(0.1, deadline - time.monotonic())
+        self._shutdown(drain=True, timeout=remaining)
+
+    def close(self) -> None:
+        """Refuse new work, stop the model path, flush the trace export."""
+        self._shutdown(drain=False, timeout=5.0)
+
+    def _shutdown(self, drain: bool, timeout: float) -> None:
+        with self._lock:
+            self._closed = True
+        self._stop_path(drain, timeout)
+        if self._exporter is not None:
+            self._exporter.close()
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class ServingEngine(Engine):
+    """The in-process engine: cache → micro-batcher → model, per request.
+
+    Parameters
+    ----------
+    registry:
+        A :class:`~repro.serving.registry.ModelRegistry`, or a directory
+        path to build one from.
+    batching:
+        Route queries through per-model micro-batchers.  Off, each
+        request runs its own vectorized ``predict`` (still batched
+        *within* a multi-config request).
+    max_batch_size / max_wait_ms:
+        Micro-batcher knobs (see :class:`~repro.serving.batcher.MicroBatcher`).
+    cache_size / cache_decimals:
+        Prediction-cache knobs; ``cache_size=0`` disables caching.
+    breaker_window / breaker_failure_threshold / breaker_min_samples /
+    breaker_reset_timeout:
+        Per-model :class:`CircuitBreaker` knobs.  Repeated artifact/model
+        failures open the breaker, and recovery is probed half-open
+        before trusting the path again.
+    clock:
+        Monotonic time source for the breakers (injectable for tests).
+    faults:
+        Optional :class:`~repro.reliability.faults.FaultPlan` handed to
+        the registry (when built here) and every micro-batcher.
+    fallback / max_inflight / shed_inflight / retry_after_s / observer /
+    tracing / tracer / trace_sample_rate / slow_trace_ms / trace_export /
+    integrity:
+        The shared front half's knobs (see :class:`Engine`).  The model
+        path adds ``cache.lookup`` and ``batcher.queue_wait`` /
+        ``batcher.execute`` child spans, and a ``breaker.rejected`` span
+        when an open breaker refuses the call.
+    """
+
+    def __init__(
+        self,
+        registry: Union[ModelRegistry, str, Path],
+        batching: bool = True,
+        max_batch_size: int = 32,
+        max_wait_ms: float = 2.0,
+        cache_size: int = 1024,
+        cache_decimals: int = 6,
+        fallback: bool = True,
+        max_inflight: Optional[int] = None,
+        shed_inflight: Optional[int] = None,
+        breaker_window: int = 10,
+        breaker_failure_threshold: float = 0.5,
+        breaker_min_samples: int = 3,
+        breaker_reset_timeout: float = 5.0,
+        retry_after_s: float = 1.0,
+        clock: Callable[[], float] = time.monotonic,
+        faults: Optional["FaultPlan"] = None,
+        observer: Optional[Observer] = None,
+        tracing: bool = True,
+        tracer: Optional[Tracer] = None,
+        trace_sample_rate: float = 1.0,
+        slow_trace_ms: Optional[float] = 500.0,
+        trace_export: Optional[Union[str, Path]] = None,
+        integrity: Optional["IntegrityGuard"] = None,
+    ):
+        if not isinstance(registry, ModelRegistry):
+            registry = ModelRegistry(registry, faults=faults)
+        self.cache = PredictionCache(cache_size, decimals=cache_decimals)
+        super().__init__(
+            registry,
+            ServingMetrics(cache=self.cache),
+            fallback=fallback,
+            max_inflight=max_inflight,
+            shed_inflight=shed_inflight,
+            retry_after_s=retry_after_s,
+            observer=observer,
+            tracing=tracing,
+            tracer=tracer,
+            trace_sample_rate=trace_sample_rate,
+            slow_trace_ms=slow_trace_ms,
+            trace_export=trace_export,
+            integrity=integrity,
+        )
+        self.batching = bool(batching)
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait_ms = float(max_wait_ms)
+        self.breaker_window = int(breaker_window)
+        self.breaker_failure_threshold = float(breaker_failure_threshold)
+        self.breaker_min_samples = int(breaker_min_samples)
+        self.breaker_reset_timeout = float(breaker_reset_timeout)
+        self.clock = clock
+        self.faults = faults
+        self._batchers: Dict[str, MicroBatcher] = {}
+        self._breakers: Dict[str, CircuitBreaker] = {}
+        self._seen_mtimes: Dict[str, int] = {}
+
+    # ------------------------------------------------------------------
+    # guarded prediction path
+    # ------------------------------------------------------------------
+
+    def _predict_path(
+        self,
+        model_name: str,
+        x: np.ndarray,
+        deadline: Optional[Deadline],
+    ) -> PredictionResult:
+        breaker = self._breaker_for(model_name)
+        if not breaker.allow():
+            error = CircuitOpenError(
+                retry_after=max(breaker.retry_after(), 0.05),
+                message=(
+                    f"model {model_name!r} is circuit-broken; retry after "
+                    f"{breaker.retry_after():.2f}s"
+                ),
             )
-        raise error
+            if self.tracer is not None:
+                # A refused call has no duration worth measuring; record
+                # the rejection itself so the trace shows *why* nothing ran.
+                self.tracer.record_span(
+                    "breaker.rejected",
+                    duration_s=0.0,
+                    status=STATUS_ERROR,
+                    error=f"CircuitOpenError: {error}",
+                    attributes={"model": model_name},
+                )
+            raise error
+        try:
+            outputs = self._predict_primary(model_name, x, deadline)
+        except KeyError:
+            # Unknown model (no artifact on disk) — a caller error, not a
+            # path failure; don't move the breaker.
+            breaker.cancel()
+            raise
+        except Exception:
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+        return PredictionResult(outputs)
 
     def _predict_primary(
         self,
@@ -432,12 +617,9 @@ class ServingEngine:
         x: np.ndarray,
         deadline: Optional[Deadline],
     ) -> np.ndarray:
-        """The original cache → batcher → model path (may raise freely)."""
-        if deadline is not None:
-            deadline.check("predict")
-        entry = self.registry.get_entry(model_name)  # KeyError if unknown
+        """The cache → batcher → model path (may raise freely)."""
+        entry = self._load(model_name)  # KeyError if unknown
         self._note_mtime(model_name, entry.mtime_ns)
-        self._ensure_surrogate(model_name, entry)
         model = entry.model
         out = np.empty((x.shape[0], len(OUTPUT_NAMES)), dtype=float)
         miss_rows: List[int] = []
@@ -538,44 +720,17 @@ class ServingEngine:
                 attributes={"batch_size": future.batch_size},
             )
 
-    # ------------------------------------------------------------------
-    # health
-    # ------------------------------------------------------------------
-
-    def health(self) -> dict:
-        """The ``/healthz`` payload: status plus the evidence behind it."""
-        models = self.list_models()
+    def _health_evidence(self) -> Tuple[Dict[str, str], bool, dict]:
         breakers = {
             name: breaker.state for name, breaker in self._breakers.items()
         }
-        with self._lock:
-            inflight = self._inflight
-            closed = self._closed
-        shedding = (
-            self.shed_inflight is not None and inflight > self.shed_inflight
-        )
-        open_without_fallback = [
-            name
+        # Servable while some model's breaker admits calls or its
+        # surrogate can answer in its place.
+        servable = not breakers or any(
+            state != OPEN or name in self._surrogates
             for name, state in breakers.items()
-            if state == OPEN
-            and not (self.fallback and name in self._surrogates)
-        ]
-        servable = (
-            not closed
-            and bool(models)
-            and (not breakers or len(open_without_fallback) < len(breakers))
         )
-        status = self.health_monitor.update(
-            breakers, shedding=shedding, servable=servable
-        )
-        return {
-            "status": status,
-            "models": len(models),
-            "breakers": breakers,
-            "fallbacks": sorted(self._surrogates),
-            "inflight": inflight,
-            "draining": self._draining,
-        }
+        return breakers, servable, {"breakers": breakers}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -590,61 +745,11 @@ class ServingEngine:
         if batcher is not None:
             batcher.close()
 
-    @property
-    def draining(self) -> bool:
-        """Whether admission is closed (``/readyz`` answers not-ready)."""
-        with self._lock:
-            return self._draining
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently past admission (drives the tuning shed tier)."""
-        with self._lock:
-            return self._inflight
-
-    def drain(self, timeout: float = 5.0) -> None:
-        """Graceful shutdown: refuse new work, finish everything queued.
-
-        Flips the engine into draining mode (new :meth:`predict` calls
-        shed with 503 + Retry-After and ``/readyz`` reports not-ready),
-        waits for the in-flight requests that already passed admission,
-        completes every future already queued on the micro-batchers
-        (``close(drain=True)``), and flushes the trace exporter.  The
-        engine refuses new work afterwards; call it once, from the
-        SIGTERM / ``/admin/drain`` path.  Idempotent.
-        """
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-            batchers, self._batchers = list(self._batchers.values()), {}
-            self._closed = True
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.005)
-        for batcher in batchers:
-            batcher.close(timeout=timeout, drain=True)
-        if self._exporter is not None:
-            self._exporter.close()
-
-    def close(self) -> None:
-        """Stop every batcher worker thread and flush the trace export."""
+    def _stop_path(self, drain: bool, timeout: float) -> None:
         with self._lock:
             batchers, self._batchers = list(self._batchers.values()), {}
-            self._closed = True
         for batcher in batchers:
-            batcher.close()
-        if self._exporter is not None:
-            self._exporter.close()
-
-    def __enter__(self) -> "ServingEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            batcher.close(timeout=timeout, drain=drain)
 
     # ------------------------------------------------------------------
 
@@ -655,28 +760,6 @@ class ServingEngine:
             self._seen_mtimes[model_name] = mtime_ns
         if previous is not None and previous != mtime_ns:
             self.cache.invalidate_model(model_name)
-
-    def _ensure_surrogate(self, model_name: str, entry) -> None:
-        """(Re)fit the fallback surrogate when the artifact changes.
-
-        Registration-time distillation: the surrogate is fit from the
-        loaded MLP the first time an artifact version serves, and the last
-        good surrogate survives later load failures — that is the whole
-        point of having it.
-        """
-        if not self.fallback:
-            return
-        current = self._surrogates.get(model_name)
-        if current is not None and current.mtime_ns == entry.mtime_ns:
-            return
-        try:
-            surrogate = fit_linear_surrogate(entry.model)
-        except Exception:  # noqa: BLE001 - fallback is best-effort
-            return
-        with self._lock:
-            self._surrogates[model_name] = _Surrogate(
-                mtime_ns=entry.mtime_ns, model=surrogate
-            )
 
     def _breaker_for(self, model_name: str) -> CircuitBreaker:
         with self._lock:

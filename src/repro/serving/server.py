@@ -65,10 +65,12 @@ request was traced, its ``X-Trace-Id``.
 The server is a ``ThreadingHTTPServer``: each connection gets a thread, and
 concurrent ``/predict`` requests coalesce in the engine's micro-batchers.
 
-With ``--workers N`` the handler stack runs unchanged on top of a
-:class:`~repro.cluster.engine.ClusterEngine` instead: predictions execute
-in N supervised worker processes with crash isolation, sibling failover,
-and surrogate degradation (see :mod:`repro.cluster` and docs/cluster.md).
+The handlers talk only to the shared :class:`~repro.serving.engine.Engine`
+front half.  With ``--workers N`` it is a
+:class:`~repro.cluster.engine.ClusterEngine` instead of the in-process
+:class:`~repro.serving.engine.ServingEngine`: predictions execute in N
+supervised worker processes with crash isolation, sibling failover, and
+surrogate degradation (see :mod:`repro.cluster` and docs/cluster.md).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from ..observability.trace import (
 from ..reliability.degradation import UNHEALTHY, OverloadedError
 from ..reliability.policies import CircuitOpenError, Deadline, DeadlineExceeded
 from ..workload.service import INPUT_NAMES, OUTPUT_NAMES
-from .engine import ServingEngine
+from .engine import Engine, ServingEngine
 
 __all__ = ["ServingHTTPServer", "create_server", "build_parser", "main"]
 
@@ -349,30 +351,8 @@ class _Handler(BaseHTTPRequestHandler):
                     f"unknown model {model_name!r}; "
                     f"available: {engine.list_models()}",
                 ) from None
-        except _RequestError as exc:
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", exc.status)
-            self._send_json(exc.status, {"error": str(exc)})
-            return
-        except (OverloadedError, CircuitOpenError) as exc:
-            engine.metrics.record_error()
-            retry_after = max(1, int(math.ceil(exc.retry_after)))
-            span.record_error(exc).set_attribute("http_status", 503)
-            self._send_json(
-                503,
-                {"error": str(exc), "retry_after": retry_after},
-                headers={"Retry-After": str(retry_after)},
-            )
-            return
-        except DeadlineExceeded as exc:
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", 504)
-            self._send_json(504, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 - model/artifact failures
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", 500)
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # noqa: BLE001 - mapped to an HTTP status
+            self._send_error(engine, span, exc)
             return
         span.set_attribute("http_status", 200)
         if result.degraded:
@@ -437,34 +417,36 @@ class _Handler(BaseHTTPRequestHandler):
                 ) from None
             except ValueError as exc:
                 raise _RequestError(400, str(exc)) from None
-        except _RequestError as exc:
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", exc.status)
-            self._send_json(exc.status, {"error": str(exc)})
-            return
-        except (OverloadedError, CircuitOpenError) as exc:
-            engine.metrics.record_error()
-            retry_after = max(1, int(math.ceil(exc.retry_after)))
-            span.record_error(exc).set_attribute("http_status", 503)
-            self._send_json(
-                503,
-                {"error": str(exc), "retry_after": retry_after},
-                headers={"Retry-After": str(retry_after)},
-            )
-            return
-        except DeadlineExceeded as exc:
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", 504)
-            self._send_json(504, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 - search/model failures
-            engine.metrics.record_error()
-            span.record_error(exc).set_attribute("http_status", 500)
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # noqa: BLE001 - mapped to an HTTP status
+            self._send_error(engine, span, exc)
             return
         span.set_attribute("http_status", 200)
         span.set_attribute("evals", body.get("evals", 0))
         self._send_json(200, body)
+
+    def _send_error(self, engine, span, exc: Exception) -> None:
+        """Answer a failed ``/predict`` or ``/recommend`` request.
+
+        The one exception → status map: a :class:`_RequestError` carries
+        its own status, shed and circuit-broken requests are 503 with a
+        ``Retry-After``, a blown deadline is 504, and anything else (a
+        model, artifact or search failure) is 500.
+        """
+        engine.metrics.record_error()
+        headers = None
+        if isinstance(exc, _RequestError):
+            status, body = exc.status, {"error": str(exc)}
+        elif isinstance(exc, (OverloadedError, CircuitOpenError)):
+            retry_after = max(1, int(math.ceil(exc.retry_after)))
+            status = 503
+            body = {"error": str(exc), "retry_after": retry_after}
+            headers = {"Retry-After": str(retry_after)}
+        elif isinstance(exc, DeadlineExceeded):
+            status, body = 504, {"error": str(exc)}
+        else:
+            status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        span.record_error(exc).set_attribute("http_status", status)
+        self._send_json(status, body, headers=headers)
 
     # ------------------------------------------------------------------
 
@@ -535,14 +517,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to a :class:`ServingEngine`."""
+    """Threaded HTTP server bound to a serving :class:`Engine`."""
 
     daemon_threads = True
 
     def __init__(
         self,
         address,
-        engine: ServingEngine,
+        engine: Engine,
         verbose: bool = False,
         lifecycle=None,
         observation_log=None,
@@ -619,7 +601,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
 
 def create_server(
-    engine: Union[ServingEngine, str, Path],
+    engine: Union[Engine, str, Path],
     host: str = "127.0.0.1",
     port: int = 0,
     verbose: bool = False,
@@ -630,8 +612,8 @@ def create_server(
 ) -> ServingHTTPServer:
     """Build a server around an engine (or a model-directory path).
 
-    ``engine`` may be any object implementing the serving-engine duck
-    type — the in-process :class:`ServingEngine` or a started
+    ``engine`` is any :class:`~repro.serving.engine.Engine` — the
+    in-process :class:`ServingEngine` or a started
     :class:`~repro.cluster.engine.ClusterEngine` alike; a string or path
     is shorthand for an in-process engine over that directory.
     """
@@ -812,6 +794,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 slow_trace_ms=args.slow_trace_ms or None,
                 trace_export=args.trace_export,
                 supervisor_options={"restart_budget": args.restart_budget},
+                integrity=guard,
             ).start()
         else:
             engine = ServingEngine(

@@ -29,9 +29,10 @@ from repro.cluster.protocol import (
 from repro.cluster.supervisor import FAILED, READY, STOPPED
 from repro.models.neural import NeuralWorkloadModel
 from repro.models.persistence import save_model
-from repro.reliability.degradation import OverloadedError
+from repro.reliability.degradation import OverloadedError, fit_linear_surrogate
 from repro.reliability.faults import SITE_WORKER_HANDLE, FaultPlan, FaultRule
 from repro.reliability.policies import Deadline, DeadlineExceeded
+from repro.serving import ServingEngine
 
 import socket
 
@@ -390,6 +391,28 @@ class TestClusterEngine:
             assert health["status"] == "degraded"
             assert health["failed_workers"] == 1
 
+    def test_worker_load_failure_fails_over_then_degrades(self, model_dir):
+        """A worker that cannot load the artifact is a path failure.
+
+        Its ``ValueError`` reply says nothing about the request (the
+        front half validated it), so a sibling is tried and then the
+        surrogate answers — never a caller-visible error.
+        """
+        with _engine(model_dir, workers=2) as eng:
+            call = eng.supervisor.call
+
+            def torn_worker(worker_id, header, payload=b"", timeout=None):
+                if header["op"] == "predict":
+                    return {"ok": False, "kind": "ValueError",
+                            "error": "cannot load model file"}, b""
+                return call(worker_id, header, payload, timeout=timeout)
+
+            eng.supervisor.call = torn_worker
+            result = eng.predict_detailed("paper", [CONFIG])
+            assert result.degraded
+            assert result.source == "surrogate:linear"
+            assert eng.metrics.worker_failovers_total == 1
+
     def test_no_workers_and_no_fallback_raises_overloaded(self, model_dir):
         with _engine(
             model_dir,
@@ -422,6 +445,106 @@ class TestClusterEngine:
             assert health["ready_workers"] == 2
             assert [w["worker"] for w in health["workers"]] == [0, 1]
             assert health["fallbacks"] == ["paper"]
+
+
+# ----------------------------------------------------------------------
+# backend parity: one engine front half, two model paths
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(params=["serving", "cluster"])
+def backend(request, model_dir):
+    """The same artifact directory served in-process and by one worker."""
+    if request.param == "serving":
+        engine = ServingEngine(model_dir)
+    else:
+        engine = _engine(model_dir, workers=1)
+    with engine:
+        yield engine
+
+
+class TestBackendParity:
+    """Both engines give the same answer, or the same error, per request.
+
+    Every case runs against the in-process ``ServingEngine`` and a
+    one-worker ``ClusterEngine`` and asserts one expected outcome, so the
+    two backends agree to rtol 1e-10 on outputs and exactly on exception
+    classes and degraded provenance.
+    """
+
+    BATCH = [CONFIG, [380.0, 8.0, 13.0, 20.0], [500.0, 19.0, 19.0, 16.0]]
+
+    def test_multi_row_batch(self, backend, tiny_model):
+        result = backend.predict_detailed("paper", self.BATCH)
+        assert not result.degraded
+        np.testing.assert_allclose(
+            result.outputs, tiny_model.predict(np.asarray(self.BATCH)),
+            rtol=1e-10,
+        )
+
+    def test_unknown_model_is_a_key_error(self, backend):
+        with pytest.raises(KeyError):
+            backend.predict("ghost", [CONFIG])
+
+    @pytest.mark.parametrize(
+        "configs",
+        [[[1.0, 2.0]], [[450.0, float("nan"), 16.0, 18.0]]],
+        ids=["wrong-shape", "non-finite"],
+    )
+    def test_malformed_input_is_a_value_error(self, backend, configs):
+        with pytest.raises(ValueError):
+            backend.predict("paper", configs)
+
+    def test_expired_deadline(self, backend):
+        with pytest.raises(DeadlineExceeded):
+            backend.predict("paper", [CONFIG], deadline=Deadline(0.0))
+
+    @pytest.mark.parametrize("stop", ["drain", "close"])
+    def test_stopped_engine_sheds(self, backend, stop):
+        backend.predict("paper", [CONFIG])
+        getattr(backend, stop)()
+        with pytest.raises(OverloadedError):
+            backend.predict("paper", [CONFIG])
+
+    def test_hard_bound_sheds_and_counts(self, backend):
+        backend.predict("paper", [CONFIG])
+        backend.shed_inflight = 0
+        with pytest.raises(OverloadedError):
+            backend.predict("paper", [CONFIG])
+        assert backend.metrics.shed_requests_total == 1
+
+    def _assert_surrogate_answer(self, result, tiny_model):
+        assert result.degraded
+        assert result.source == "surrogate:linear"
+        np.testing.assert_allclose(
+            result.outputs,
+            fit_linear_surrogate(tiny_model).predict(np.asarray(self.BATCH)),
+            rtol=1e-10,
+        )
+
+    def test_soft_bound_answers_from_surrogate(self, backend, tiny_model):
+        backend.predict("paper", [CONFIG])  # pins the surrogate
+        backend.max_inflight = 0
+        result = backend.predict_detailed("paper", self.BATCH)
+        self._assert_surrogate_answer(result, tiny_model)
+
+    def test_corrupt_artifact_degrades(self, backend, model_dir, tiny_model):
+        backend.predict("paper", [CONFIG])
+        artifact = model_dir / "paper.json"
+        artifact.write_text("{torn")
+        stat = os.stat(artifact)
+        os.utime(
+            artifact,
+            ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000),
+        )
+        result = backend.predict_detailed("paper", self.BATCH)
+        self._assert_surrogate_answer(result, tiny_model)
+
+    def test_root_span_is_engine_predict(self, backend):
+        backend.predict("paper", [CONFIG])
+        newest = backend.tracer.buffer.traces(limit=1)[0]["spans"]
+        roots = [span["name"] for span in newest if span["parent_id"] is None]
+        assert roots == ["engine.predict"]
 
 
 class TestWorkerFaultKinds:

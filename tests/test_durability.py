@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterEngine
 from repro.durability.integrity import (
     ArtifactIntegrityError,
     CleanShutdownMarker,
@@ -379,7 +380,7 @@ class TestStoreIntegrity:
 
 
 class TestRegistryIntegrity:
-    def _served_engine(self, tmp_path, model_a, model_b):
+    def _served_engine(self, tmp_path, model_a, model_b, backend="serving"):
         store = VersionedModelStore(tmp_path / "store")
         registry_dir = tmp_path / "registry"
         v1 = store.save_version("paper", model_a)
@@ -390,16 +391,22 @@ class TestRegistryIntegrity:
             rollback=lambda name: store.redeploy_verified(name, registry_dir)
             is not None
         )
-        engine = ServingEngine(
-            registry_dir, batching=False, tracing=False, integrity=guard
-        )
+        if backend == "cluster":
+            engine = ClusterEngine(
+                registry_dir, workers=1, tracing=False, integrity=guard
+            ).start()
+        else:
+            engine = ServingEngine(
+                registry_dir, batching=False, tracing=False, integrity=guard
+            )
         return store, registry_dir, engine, v1, v2
 
+    @pytest.mark.parametrize("backend", ["serving", "cluster"])
     def test_corrupt_hot_reload_rolls_back_to_good_version(
-        self, tmp_path, model_a, model_b
+        self, tmp_path, model_a, model_b, backend
     ):
         store, registry_dir, engine, v1, v2 = self._served_engine(
-            tmp_path, model_a, model_b
+            tmp_path, model_a, model_b, backend
         )
         with engine:
             engine.predict("paper", [CONFIG])  # loads v2 cleanly
@@ -410,12 +417,13 @@ class TestRegistryIntegrity:
             deployed.write_bytes(payload[: len(payload) // 2])
             stat = os.stat(deployed)
             os.utime(deployed, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10))
-            outputs = engine.predict("paper", [CONFIG])
+            result = engine.predict_detailed("paper", [CONFIG])
+            assert not result.degraded
             expected = store.load_version(
                 "paper", store.promoted_version("paper")
             )
             np.testing.assert_allclose(
-                outputs[0],
+                result.outputs[0],
                 expected.predict(np.asarray([CONFIG]))[0],
                 rtol=1e-9,
             )

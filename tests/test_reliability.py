@@ -37,7 +37,6 @@ from repro.reliability import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    FallbackChain,
     FaultPlan,
     FaultRule,
     HealthMonitor,
@@ -655,36 +654,6 @@ class TestSurrogateAndFallback:
         # should explain the bulk of its variance over the training region.
         corr = np.corrcoef(mlp_out[:, 4], sur_out[:, 4])[0, 1]
         assert corr > 0.6
-
-    def test_fallback_chain_tries_tiers_in_order(self):
-        def broken(x):
-            raise RuntimeError("primary down")
-
-        chain = FallbackChain(
-            [("mlp", broken), ("surrogate", lambda x: np.ones((len(x), 5)))]
-        )
-        result = chain.predict(np.zeros((3, 4)))
-        assert result.degraded
-        assert result.source == "surrogate"
-        assert result.tier == 1
-        assert result.outputs.shape == (3, 5)
-
-    def test_fallback_chain_primary_answer_is_not_degraded(self):
-        chain = FallbackChain([("mlp", lambda x: np.zeros((len(x), 5)))])
-        result = chain.predict(np.zeros((2, 4)))
-        assert not result.degraded
-        assert result.source == "mlp"
-
-    def test_fallback_chain_raises_primary_error_when_all_fail(self):
-        def broken_a(x):
-            raise RuntimeError("root cause")
-
-        def broken_b(x):
-            raise ValueError("secondary noise")
-
-        chain = FallbackChain([("a", broken_a), ("b", broken_b)])
-        with pytest.raises(RuntimeError, match="root cause"):
-            chain.predict(np.zeros((1, 4)))
 
     def test_health_monitor_state_machine(self):
         monitor = HealthMonitor()
