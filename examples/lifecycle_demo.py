@@ -8,7 +8,8 @@ deterministic — this is also what the CI lifecycle smoke runs:
    registry directory;
 2. drive *shifted* traffic (window moved up 150 tps, measured indicators
    rescaled 1.2x) through the driver, recording paired
-   (prediction, measurement) observations into a JSONL log;
+   (prediction, measurement) observations into an observation journal
+   (the directory format ``repro-serve --journal-dir`` writes);
 3. ``check-drift`` — both signals trip: the configuration stream scores
    far outside the deployed scaler statistics and the harmonic-mean
    residual error exceeds the loose-fit threshold;
@@ -85,13 +86,14 @@ def main() -> int:
         registry = Path(tmp) / "registry"
         registry.mkdir()
         store = str(Path(tmp) / "store")
-        log = str(Path(tmp) / "observations.jsonl")
+        journal = str(Path(tmp) / "journal")
         train_baseline(registry)
 
         recorded = run(
             "record",
             [
-                "record", "--models-dir", str(registry), "--log", log,
+                "record", "--models-dir", str(registry),
+                "--journal-dir", journal,
                 "--samples", "96", "--seed", "1",
                 "--rate-min", "150", "--rate-max", "400",
                 "--rate-shift", "150",
@@ -103,7 +105,10 @@ def main() -> int:
 
         drift = run(
             "check-drift",
-            ["check-drift", "--models-dir", str(registry), "--log", log],
+            [
+                "check-drift", "--models-dir", str(registry),
+                "--journal-dir", journal,
+            ],
         )
         expect(drift["drifted"], "the drift verdict to trip")
 
@@ -111,7 +116,7 @@ def main() -> int:
             "retrain",
             [
                 "retrain", "--models-dir", str(registry),
-                "--store-dir", store, "--log", log,
+                "--store-dir", store, "--journal-dir", journal,
                 "--seed", "3", "--promote",
             ],
         )
@@ -128,7 +133,7 @@ def main() -> int:
             "status",
             [
                 "status", "--models-dir", str(registry),
-                "--store-dir", store, "--log", log,
+                "--store-dir", store, "--journal-dir", journal,
             ],
         )
         expect(

@@ -4,9 +4,9 @@ The serving + lifecycle stack (PRs 1–4) survives *runtime* faults; this
 package makes its *state* survive a kill at any instant.
 :mod:`~repro.durability.integrity` gives every model artifact a sha256
 identity (sidecars, verify-on-load, quarantine, auto-rollback via
-:class:`IntegrityGuard`), :mod:`~repro.durability.journal` replaces the
-observation log's fragile JSONL spill with a CRC32-framed segmented
-write-ahead journal with torn-tail recovery, and
+:class:`IntegrityGuard`), :mod:`~repro.durability.journal` is the
+observation log's CRC32-framed segmented write-ahead journal with
+torn-tail recovery, and
 :mod:`~repro.durability.recovery` runs the one-shot startup
 :class:`RecoveryManager` that repairs manifests, redeploys the last
 verified-good version over corrupt artifacts, and replays the journal —
@@ -23,6 +23,7 @@ from .integrity import (
     ArtifactIntegrityError,
     CleanShutdownMarker,
     IntegrityGuard,
+    atomic_write_bytes,
     checksum_path,
     quarantine_file,
     read_checksum,
@@ -44,6 +45,7 @@ __all__ = [
     "ArtifactIntegrityError",
     "CleanShutdownMarker",
     "IntegrityGuard",
+    "atomic_write_bytes",
     "checksum_path",
     "quarantine_file",
     "read_checksum",

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ArtifactIntegrityError",
+    "atomic_write_bytes",
     "sha256_bytes",
     "sha256_file",
     "checksum_path",
@@ -99,7 +100,13 @@ def checksum_path(path: Union[str, Path]) -> Path:
     return path.with_name(path.name + CHECKSUM_SUFFIX)
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
+    """Write ``payload`` to ``path`` via temp file + fsync + ``os.replace``.
+
+    A concurrent reader sees either the old file or the complete new one,
+    never a torn write; on any failure the temporary file is removed.
+    """
+    path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
@@ -124,7 +131,7 @@ def write_checksum(
     path = Path(path)
     if digest is None:
         digest = sha256_file(path)
-    _atomic_write(checksum_path(path), (digest + "\n").encode("ascii"))
+    atomic_write_bytes(checksum_path(path), (digest + "\n").encode("ascii"))
     return digest
 
 
@@ -400,7 +407,7 @@ class CleanShutdownMarker:
         body = dict(payload or {})
         body.setdefault("clean", True)
         body.setdefault("wall_time", time.time())
-        _atomic_write(self.path, json.dumps(body).encode())
+        atomic_write_bytes(self.path, json.dumps(body).encode())
         return self.path
 
     def consume(self) -> bool:

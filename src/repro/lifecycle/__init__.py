@@ -8,7 +8,8 @@ the serving stack:
 * :class:`~repro.lifecycle.observations.ObservationLog` captures served
   traffic (via the :class:`~repro.serving.engine.ServingEngine`
   ``observer`` hook) and driver-measured ground truth into a thread-safe
-  ring buffer with JSONL spill;
+  ring buffer, optionally backed by the write-ahead journal of
+  :mod:`repro.durability.journal`;
 * :class:`~repro.lifecycle.drift.DriftDetector` scores the stream against
   the deployed artifact's own Section 3.1 scaler statistics
   (configuration drift) and the paper's harmonic-mean relative-error

@@ -1,14 +1,17 @@
 """``repro-lifecycle`` — drive the continuous-learning loop from the shell.
 
 The CLI operates on the same on-disk surfaces as a running server: a
-registry directory of deployed artifacts, a version store, and a JSONL
-observation log, so it works against a live ``repro-serve`` deployment or
-fully offline.
+registry directory of deployed artifacts, a version store, and the
+observation journal ``repro-serve --journal-dir`` writes, so it works
+against a live deployment or fully offline.  ``check-drift``, ``retrain``
+and ``status`` only read the journal — no tail repair, no appends — so
+they never truncate a segment a live server is still appending to;
+``record`` appends, so point it only at a journal no server is writing.
 
 Subcommands::
 
-    repro-lifecycle record      # measure sampled configs (ground truth) + log
-    repro-lifecycle check-drift # score the log against the deployed model
+    repro-lifecycle record      # measure sampled configs, journal them
+    repro-lifecycle check-drift # score the journal against the deployment
     repro-lifecycle retrain     # fit a candidate, gate it, archive a version
     repro-lifecycle promote     # deploy a stored version into the registry
     repro-lifecycle rollback    # restore the previously-promoted version
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, store=False, log=False):
+    def common(p, store=False, journal=False):
         p.add_argument(
             "--models-dir", required=True,
             help="registry directory of deployed <name>.json artifacts",
@@ -68,15 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "--store-dir", required=True,
                 help="version-store root directory",
             )
-        if log:
+        if journal:
             p.add_argument(
-                "--log", required=True, help="JSONL observation log path"
+                "--journal-dir", required=True,
+                help="observation journal directory (the one "
+                     "repro-serve --journal-dir writes)",
             )
 
     p = sub.add_parser(
-        "record", help="measure sampled configurations and append to the log"
+        "record",
+        help="measure sampled configurations and append to the journal",
     )
-    common(p, log=True)
+    common(p, journal=True)
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -109,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "check-drift", help="score the observation log against the deployment"
+        "check-drift", help="score the journal against the deployment"
     )
-    common(p, log=True)
+    common(p, journal=True)
     p.add_argument("--config-threshold", type=float, default=0.5)
     p.add_argument("--residual-threshold", type=float, default=0.10)
     p.add_argument("--min-observations", type=int, default=20)
 
     p = sub.add_parser(
         "retrain",
-        help="fit a candidate on the log, gate it, archive a version",
+        help="fit a candidate on the journal, gate it, archive a version",
     )
-    common(p, store=True, log=True)
+    common(p, store=True, journal=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gate-max-error", type=float, default=0.15)
     p.add_argument("--holdout-fraction", type=float, default=0.25)
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, store=True)
 
     p = sub.add_parser("status", help="print loop state as JSON")
-    common(p, store=True, log=True)
+    common(p, store=True, journal=True)
 
     p = sub.add_parser(
         "verify",
@@ -194,7 +200,23 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _replay(args) -> ObservationLog:
+    """The journal's observations, read without repairing or appending."""
+    if not Path(args.journal_dir).is_dir():
+        raise ValueError(
+            f"--journal-dir {args.journal_dir} is not an existing directory"
+        )
+    return ObservationLog.replay_journal(
+        args.journal_dir, resume=False, repair=False
+    )
+
+
 def _cmd_record(args) -> int:
+    if not args.threads_min <= args.threads_max:
+        raise ValueError(
+            f"--threads-min {args.threads_min} must not exceed "
+            f"--threads-max {args.threads_max}"
+        )
     deployed = load_model(Path(args.models_dir) / f"{args.model}.json")
     backend = AnalyticWorkloadModel()
     rng = np.random.default_rng(args.seed)
@@ -202,13 +224,8 @@ def _cmd_record(args) -> int:
         capacity=max(4096, args.samples),
         sampling_rate=args.sampling_rate,
         seed=args.seed,
-        spill_path=args.log,
+        journal_dir=args.journal_dir,
     )
-    if not args.threads_min <= args.threads_max:
-        raise ValueError(
-            f"--threads-min {args.threads_min} must not exceed "
-            f"--threads-max {args.threads_max}"
-        )
     threads_hi = args.threads_max + 1
     kept = 0
     with log:
@@ -240,14 +257,14 @@ def _cmd_record(args) -> int:
             "model": args.model,
             "requested": args.samples,
             "recorded": kept,
-            "log": str(args.log),
+            "journal_dir": str(args.journal_dir),
         }
     )
     return 0
 
 
 def _cmd_check_drift(args) -> int:
-    log = ObservationLog.replay(args.log)
+    log = _replay(args)
     deployed = load_model(Path(args.models_dir) / f"{args.model}.json")
     from .drift import DriftDetector
 
@@ -264,7 +281,7 @@ def _cmd_check_drift(args) -> int:
 
 
 def _cmd_retrain(args) -> int:
-    log = ObservationLog.replay(args.log)
+    log = _replay(args)
     orch = _orchestrator(args, log)
     report = orch.run_cycle(
         args.model,
@@ -307,7 +324,7 @@ def _cmd_rollback(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    log = ObservationLog.replay(args.log)
+    log = _replay(args)
     orch = _orchestrator(args, log)
     _emit({"command": "status", **orch.status()})
     return 0

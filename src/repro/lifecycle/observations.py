@@ -6,9 +6,9 @@ workload it describes.  An :class:`Observation` is one served or measured
 data point — a configuration vector, optionally the model's prediction for
 it, and optionally the ground truth the workload driver measured.  The
 :class:`ObservationLog` is a thread-safe ring buffer of recent
-observations with an optional JSONL spill for durability, cheap enough to
-sit on the serving hot path: recording is one lock, one deque append, and
-(below sampling rate 1.0) one RNG draw.
+observations, optionally backed by a CRC32-framed write-ahead journal for
+durability, cheap enough to sit on the serving hot path: recording is one
+lock, one deque append, and (below sampling rate 1.0) one RNG draw.
 
 Two producers feed it:
 
@@ -27,7 +27,7 @@ import csv
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -60,21 +60,11 @@ class Observation:
         return self.predicted is not None and self.measured is not None
 
     def to_json(self) -> str:
-        """One JSONL line (the spill format)."""
-        return json.dumps(
-            {
-                "model": self.model,
-                "config": list(self.config),
-                "predicted": (
-                    None if self.predicted is None else list(self.predicted)
-                ),
-                "measured": (
-                    None if self.measured is None else list(self.measured)
-                ),
-                "source": self.source,
-                "seq": self.seq,
-            }
-        )
+        """One JSON line (the journal's record format).
+
+        The fields are declared in buffer-row order, so the dataclass's
+        tuple *is* the row :func:`_row_to_json` serializes."""
+        return _row_to_json(astuple(self))
 
     @classmethod
     def from_json(cls, line: str) -> "Observation":
@@ -124,8 +114,8 @@ _GROUP_COMMIT_BYTES = 4096
 
 
 def _row_to_json(row: tuple) -> str:
-    """One JSONL spill line from a raw buffer row (same shape as
-    :meth:`Observation.to_json`, without building the dataclass)."""
+    """One journal line from a raw buffer row
+    ``(model, config, predicted, measured, source, seq)``."""
     model, config, predicted, measured, source, seq = row
     return json.dumps(
         {
@@ -140,7 +130,7 @@ def _row_to_json(row: tuple) -> str:
 
 
 class ObservationLog:
-    """Bounded, thread-safe capture buffer with optional JSONL spill.
+    """Bounded, thread-safe capture buffer with an optional journal.
 
     Parameters
     ----------
@@ -153,20 +143,16 @@ class ObservationLog:
         deterministic under ``seed``.
     seed:
         Seed for the sampling stream.
-    spill_path:
-        When given, every *accepted* observation is also appended to this
-        JSONL file, so capture survives a restart of the serving process
-        (:meth:`replay` reloads it).
     journal_dir:
-        When given, accepted observations are instead appended to a
+        When given, every *accepted* observation is also appended to a
         CRC32-framed :class:`~repro.durability.journal.Journal` in this
-        directory — the crash-safe spill.  A torn tail from a killed
-        process is detected and truncated on replay instead of
-        poisoning it (:meth:`replay_journal` reloads it).  Under
-        ``"buffered"`` sync, lines are *group-committed*: coalesced into
-        one framed record every ~4 KiB (and at every flush/sync/close),
-        amortizing the framing cost; the loss bound stays "the unsynced
-        tail".  Mutually exclusive with ``spill_path``.
+        directory, so capture survives a restart — or a kill — of the
+        serving process.  A torn tail from a killed process is detected
+        and truncated on replay instead of poisoning it
+        (:meth:`replay_journal` reloads it).  Under ``"buffered"`` sync,
+        lines are *group-committed*: coalesced into one framed record
+        every ~4 KiB (and at every flush/sync/close), amortizing the
+        framing cost; the loss bound stays "the unsynced tail".
     journal_sync:
         Journal durability mode: ``"buffered"`` (default), ``"flush"``,
         or ``"fsync"``.
@@ -186,7 +172,6 @@ class ObservationLog:
         capacity: int = 4096,
         sampling_rate: float = 1.0,
         seed: int = 0,
-        spill_path: Optional[Union[str, Path]] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         journal_sync: str = "buffered",
         journal_segment_bytes: int = 4 << 20,
@@ -199,13 +184,8 @@ class ObservationLog:
             raise ValueError(
                 f"sampling_rate must be in [0, 1], got {sampling_rate}"
             )
-        if spill_path is not None and journal_dir is not None:
-            raise ValueError(
-                "spill_path and journal_dir are mutually exclusive"
-            )
         self.capacity = int(capacity)
         self.sampling_rate = float(sampling_rate)
-        self.spill_path = None if spill_path is None else Path(spill_path)
         self.journal_dir = None if journal_dir is None else Path(journal_dir)
         self.metrics = metrics
         self.observations_total = 0
@@ -217,16 +197,12 @@ class ObservationLog:
         self._rng = np.random.default_rng(seed)
         self._seq = 0
         self._lock = threading.Lock()
-        self._spill_handle = None
         self._journal: Optional[Journal] = None
         # Group commit: in buffered mode accepted lines coalesce here and
         # go to the journal as one newline-joined framed record, so the
         # crc/frame/write cost amortizes across ~a dozen observations.
         self._journal_batch: list = []
         self._journal_batch_bytes = 0
-        if self.spill_path is not None:
-            self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-            self._spill_handle = self.spill_path.open("a")
         if self.journal_dir is not None:
             self._journal = Journal(
                 self.journal_dir,
@@ -278,10 +254,7 @@ class ObservationLog:
             row = (model, config, predicted, measured, source, self._seq)
             self._buffer.append(row)
             self.observations_total += 1
-            handle = self._spill_handle
-            if handle is not None:
-                handle.write(_row_to_json(row) + "\n")
-            elif self._journal is not None:
+            if self._journal is not None:
                 line = _row_to_json(row)
                 if self._journal.write_through:
                     # Per-record sync or armed faults: no coalescing —
@@ -456,7 +429,7 @@ class ObservationLog:
     # ------------------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop the resident buffer (counters and spill file are kept)."""
+        """Drop the resident buffer (counters and journal are kept)."""
         with self._lock:
             self._buffer.clear()
 
@@ -470,10 +443,8 @@ class ObservationLog:
             self._journal_batch_bytes = 0
 
     def flush(self) -> None:
-        """Flush the spill file / journal to the OS (no-op without one)."""
+        """Flush the journal to the OS (no-op without one)."""
         with self._lock:
-            if self._spill_handle is not None:
-                self._spill_handle.flush()
             if self._journal is not None:
                 self._drain_journal_batch()
                 self._journal.flush()
@@ -481,18 +452,13 @@ class ObservationLog:
     def sync_to_disk(self) -> None:
         """Flush *and* fsync the journal — the graceful-drain guarantee."""
         with self._lock:
-            if self._spill_handle is not None:
-                self._spill_handle.flush()
             if self._journal is not None:
                 self._drain_journal_batch()
                 self._journal.sync_to_disk()
 
     def close(self) -> None:
-        """Close the spill file/journal; further records stay in memory."""
+        """Close the journal; further records stay in memory."""
         with self._lock:
-            if self._spill_handle is not None:
-                self._spill_handle.close()
-                self._spill_handle = None
             if self._journal is not None:
                 self._drain_journal_batch()
                 self._journal.close()
@@ -503,42 +469,6 @@ class ObservationLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @classmethod
-    def replay(
-        cls,
-        path: Union[str, Path],
-        capacity: int = 4096,
-        **kwargs,
-    ) -> "ObservationLog":
-        """Rebuild a log from a JSONL spill file (most recent ``capacity``).
-
-        Malformed lines — a torn tail, a partial flush — are *skipped*
-        and counted in ``journal_records_dropped`` (mirrored to the
-        metrics ``journal_records_dropped_total`` counter) instead of
-        aborting the replay: losing one record must not cost the rest.
-
-        The returned log does *not* keep spilling to ``path`` unless
-        ``spill_path`` is passed explicitly — replaying is a read.
-        """
-        log = cls(capacity=capacity, **kwargs)
-        path = Path(path)
-        if not path.is_file():
-            return log
-        with path.open(errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obs = Observation.from_json(line)
-                except (ValueError, KeyError, TypeError):
-                    log._count_replay_dropped(1)
-                    continue
-                log._ingest(obs)
-        if log.metrics is not None and log.journal_records_recovered:
-            log.metrics.record_journal_recovered(log.journal_records_recovered)
-        return log
 
     @classmethod
     def replay_journal(
@@ -554,9 +484,13 @@ class ObservationLog:
         Each segment is replayed up to its first bad frame (``repair``
         truncates the torn tail on disk so appends continue cleanly);
         recovered/dropped counts land in ``journal_records_recovered`` /
-        ``journal_records_dropped`` and the metrics mirrors.  With
-        ``resume`` (the default) the returned log keeps journaling to
-        the same directory — this is the crash-restart path.
+        ``journal_records_dropped`` and the metrics mirrors.  A payload
+        that is not UTF-8, or a line that does not parse, is skipped and
+        counted as dropped: losing one record must not cost the rest.
+        With ``resume`` (the default) the returned log keeps journaling
+        to the same directory — this is the crash-restart path.  With
+        ``resume=False, repair=False`` replay is a pure read that leaves
+        every file as it was, safe beside a live writer.
         """
         recovery = replay_journal(journal_dir, repair=repair)
         log = cls(

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Union
 
 from ..durability.integrity import (
+    atomic_write_bytes,
     quarantine_file,
     read_checksum,
     sha256_bytes,
@@ -52,25 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["VersionedModelStore"]
 
 _MANIFEST = "manifest.json"
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via temp file + ``os.replace``."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class VersionedModelStore:
@@ -130,7 +111,7 @@ class VersionedModelStore:
         return json.loads(path.read_text())
 
     def _write_manifest(self, name: str, manifest: dict) -> None:
-        _atomic_write_bytes(
+        atomic_write_bytes(
             self._manifest_path(name), json.dumps(manifest, indent=2).encode()
         )
 
@@ -204,7 +185,7 @@ class VersionedModelStore:
                 (int(v["version"]) for v in manifest["versions"]), default=0
             )
             path = self._version_path(name, version)
-            _atomic_write_bytes(path, payload)
+            atomic_write_bytes(path, payload)
             digest = write_checksum(path, sha256_bytes(payload))
             manifest["versions"].append(
                 {
@@ -361,7 +342,7 @@ class VersionedModelStore:
         except OSError:
             old_mtime_ns = None
         payload = source.read_bytes()
-        _atomic_write_bytes(target, payload)
+        atomic_write_bytes(target, payload)
         if old_mtime_ns is not None:
             stat = os.stat(target)
             if stat.st_mtime_ns <= old_mtime_ns:

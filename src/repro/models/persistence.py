@@ -11,14 +11,16 @@ single JSON file and queried without retraining.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from ..durability.integrity import sha256_bytes, write_checksum
+from ..durability.integrity import (
+    atomic_write_bytes,
+    sha256_bytes,
+    write_checksum,
+)
 from ..nn.serialization import from_dict as network_from_dict
 from ..nn.serialization import to_dict as network_to_dict
 from ..preprocessing.scalers import IdentityScaler, Scaler, StandardScaler
@@ -144,21 +146,7 @@ def save_model(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(model_to_dict(model)).encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write_bytes(path, payload)
     write_checksum(path, sha256_bytes(payload))
     return path
 

@@ -18,10 +18,14 @@ here attack each one the way a crash would:
 import json
 import os
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterEngine
 from repro.durability.integrity import (
@@ -761,26 +765,26 @@ class TestEngineDrain:
 
 
 class TestObservationLogDurability:
-    def test_spill_and_journal_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ObservationLog(
-                spill_path=tmp_path / "log.jsonl",
-                journal_dir=tmp_path / "journal",
-            )
-
     def test_replay_skips_malformed_lines(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        log = ObservationLog(spill_path=path)
-        log.record("paper", CONFIG, measured=[1.0] * 5, source="test")
-        log.record("paper", CONFIG, measured=[2.0] * 5, source="test")
-        log.close()
-        with path.open("a") as handle:
-            handle.write("{torn line\n")
-            handle.write("not json at all\n")
-        replayed = ObservationLog.replay(path)
-        assert len(replayed) == 2
+        journal_dir = tmp_path / "journal"
+        with ObservationLog(journal_dir=journal_dir) as log:
+            log.record("paper", CONFIG, measured=[1.0] * 5, source="test")
+            log.record("paper", CONFIG, measured=[2.0] * 5, source="test")
+        # Intact frames whose payloads are not observations: a line that
+        # does not parse, and bytes that are not UTF-8.
+        with Journal(journal_dir) as journal:
+            journal.append(b"{torn line")
+            journal.append(b"\xff\xfe not utf-8")
+        with ObservationLog(journal_dir=journal_dir) as log:
+            log.record("paper", CONFIG, measured=[3.0] * 5, source="test")
+        replayed = ObservationLog.replay_journal(
+            journal_dir, resume=False, repair=False
+        )
+        assert [obs.measured[0] for obs in replayed.snapshot()] == [
+            1.0, 2.0, 3.0
+        ]
         assert replayed.journal_records_dropped == 2
-        assert replayed.journal_records_recovered == 2
+        assert replayed.journal_records_recovered == 3
 
     def test_journal_backed_log_round_trips(self, tmp_path):
         journal_dir = tmp_path / "journal"
@@ -812,6 +816,50 @@ class TestObservationLogDurability:
         assert len(replayed) == 5
         assert replayed.journal_records_dropped == 1
         replayed.close()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VECTOR = st.lists(_FINITE, min_size=1, max_size=5)
+# (model, config, predicted, measured, flush after recording it)
+_OBSERVATION = st.tuples(
+    st.text(max_size=8),
+    _VECTOR,
+    st.none() | _VECTOR,
+    st.none() | _VECTOR,
+    st.booleans(),
+)
+
+
+@given(observations=st.lists(_OBSERVATION, max_size=60), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_journal_byte_prefix_replays_a_record_prefix(observations, data):
+    """Cut a group-committed segment anywhere: a read-only replay never
+    raises, returns a prefix of what was recorded (all of it when the
+    file is whole), and leaves the cut file as it found it."""
+
+    def replay(journal_dir):
+        return ObservationLog.replay_journal(
+            journal_dir, resume=False, repair=False
+        ).snapshot()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        journal_dir = Path(tmp)
+        with ObservationLog(journal_dir=journal_dir) as log:
+            for model, config, predicted, measured, flush in observations:
+                log.record(
+                    model, config, predicted=predicted, measured=measured
+                )
+                if flush:
+                    log.flush()  # ends a group-commit frame here
+            recorded = log.snapshot()
+        (segment,) = journal_dir.glob("seg-*.wal")
+        whole = segment.read_bytes()
+        assert replay(journal_dir) == recorded
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        segment.write_bytes(whole[:cut])
+        replayed = replay(journal_dir)
+        assert replayed == recorded[: len(replayed)]
+        assert segment.read_bytes() == whole[:cut]
 
 
 # ----------------------------------------------------------------------

@@ -126,17 +126,20 @@ class TestObservationLog:
         x, y = log.training_data("m")
         assert x.shape == (2, 4) and y.shape == (2, 5)
 
-    def test_spill_and_replay(self, tmp_path):
-        path = tmp_path / "obs.jsonl"
-        with ObservationLog(spill_path=path) as log:
+    def test_journal_and_replay(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        with ObservationLog(journal_dir=journal_dir) as log:
             log.record("m", [1, 2, 3, 4], measured=[5] * 5, source="driver")
             log.record("m", [5, 6, 7, 8])
-        replayed = ObservationLog.replay(path)
-        assert replayed.observations_total == 2
-        assert replayed.snapshot("m")[0].measured == (5.0,) * 5
-        # Replay continues the sequence rather than reusing it.
-        replayed.record("m", [9, 9, 9, 9])
-        assert replayed.snapshot()[-1].seq == 3
+        with ObservationLog.replay_journal(journal_dir) as replayed:
+            assert replayed.observations_total == 2
+            assert replayed.snapshot("m")[0].measured == (5.0,) * 5
+            # Replay continues the sequence rather than reusing it, and
+            # (resume) keeps journaling to the same directory.
+            replayed.record("m", [9, 9, 9, 9])
+            assert replayed.snapshot()[-1].seq == 3
+        final = ObservationLog.replay_journal(journal_dir, resume=False)
+        assert [obs.seq for obs in final.snapshot()] == [1, 2, 3]
 
     def test_observation_json_roundtrip(self):
         obs = Observation(
@@ -545,6 +548,9 @@ class TestOrchestrator:
         assert report.cv_error is not None and report.cv_error >= 0.0
 
 
+READ_ONLY_COMMANDS = ["check-drift", "retrain", "status"]
+
+
 class TestCLI:
     @pytest.fixture()
     def analytic_deployment(self, tmp_path):
@@ -580,29 +586,31 @@ class TestCLI:
 
         registry = str(analytic_deployment)
         store = str(tmp_path / "store")
-        log = str(tmp_path / "obs.jsonl")
+        journal = str(tmp_path / "journal")
 
         def run(*argv):
             code = main(list(argv))
             return code, json.loads(capsys.readouterr().out)
 
         code, out = run(
-            "record", "--models-dir", registry, "--log", log,
+            "record", "--models-dir", registry, "--journal-dir", journal,
             "--samples", "96", "--seed", "1",
             "--rate-min", "150", "--rate-max", "400", "--rate-shift", "150",
             "--threads-min", "12", "--threads-max", "27",
             "--indicator-scale", "1.2",
         )
         assert code == 0 and out["recorded"] == 96
+        assert out["journal_dir"] == journal
 
         code, out = run(
-            "check-drift", "--models-dir", registry, "--log", log
+            "check-drift", "--models-dir", registry, "--journal-dir", journal
         )
         assert code == 0 and out["drifted"]
+        assert out["n_observations"] == 96
 
         code, out = run(
             "retrain", "--models-dir", registry, "--store-dir", store,
-            "--log", log, "--seed", "3", "--promote",
+            "--journal-dir", journal, "--seed", "3", "--promote",
         )
         assert code == 0
         assert out["retrained"] and out["gate"]["passed"] and out["promoted"]
@@ -615,7 +623,7 @@ class TestCLI:
 
         code, out = run(
             "status", "--models-dir", registry, "--store-dir", store,
-            "--log", log,
+            "--journal-dir", journal,
         )
         assert code == 0
         assert out["models"]["paper"]["promoted_version"] == 1
@@ -634,6 +642,101 @@ class TestCLI:
         )
         assert code == 1
         assert "no previous version" in capsys.readouterr().err
+
+    def test_record_validates_arguments_before_writing(
+        self, registry_dir, tmp_path, capsys
+    ):
+        from repro.lifecycle.cli import main
+
+        journal = tmp_path / "journal"
+        code = main(
+            [
+                "record", "--models-dir", str(registry_dir),
+                "--journal-dir", str(journal),
+                "--threads-min", "20", "--threads-max", "10",
+            ]
+        )
+        assert code == 1
+        assert "--threads-min 20" in capsys.readouterr().err
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
+    def test_read_only_commands_require_existing_journal_dir(
+        self, command, registry_dir, tmp_path, capsys
+    ):
+        from repro.lifecycle.cli import main
+
+        missing = tmp_path / "no-such-journal"
+        code = main(
+            [
+                command, "--models-dir", str(registry_dir),
+                "--journal-dir", str(missing),
+                *self._store_args(command, tmp_path),
+            ]
+        )
+        assert code == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
+    def test_read_only_commands_leave_torn_tail_byte_identical(
+        self, command, registry_dir, tmp_path, capsys
+    ):
+        from repro.lifecycle.cli import main
+
+        journal = tmp_path / "journal"
+        rng = np.random.default_rng(5)
+        with ObservationLog(journal_dir=journal, journal_sync="flush") as log:
+            for row in rng.uniform(1.0, 8.0, size=(6, 4)):
+                log.record("paper", row, measured=truth(row)[0])
+        (segment,) = journal.glob("seg-*.wal")
+        with open(segment, "r+b") as handle:
+            handle.truncate(segment.stat().st_size - 7)
+        torn = segment.read_bytes()
+        code = main(
+            [
+                command, "--models-dir", str(registry_dir),
+                "--journal-dir", str(journal),
+                *self._store_args(command, tmp_path),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert segment.read_bytes() == torn
+        assert list(journal.iterdir()) == [segment]
+
+    @staticmethod
+    def _store_args(command, tmp_path):
+        if command == "check-drift":
+            return []
+        return ["--store-dir", str(tmp_path / "store")]
+
+    def test_served_traffic_reaches_check_drift(
+        self, registry_dir, tmp_path, capsys
+    ):
+        """What ``repro-serve --journal-dir`` journals, the CLI reads."""
+        from repro.lifecycle.cli import main
+
+        journal = tmp_path / "journal"
+        n = 30
+        rng = np.random.default_rng(2)
+        log = ObservationLog(journal_dir=journal)
+        with ServingEngine(
+            registry_dir, batching=False, observer=serving_tap(log)
+        ) as engine:
+            for row in rng.uniform(1.0, 8.0, size=(n, 4)):
+                engine.predict_one("paper", row)
+            log.flush()
+            code = main(
+                [
+                    "check-drift", "--models-dir", str(registry_dir),
+                    "--journal-dir", str(journal),
+                ]
+            )
+        log.close()
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["n_observations"] == n
 
 
 class TestEndToEndLifecycle:

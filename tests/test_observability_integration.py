@@ -404,14 +404,23 @@ class TestRetryPropagation:
         assert err.value.status == 503
 
         def find():
+            # The server closes its spans after sending the response, so
+            # the last attempt's server side can trail the client's span.
             for trace in tracer.buffer.traces(limit=10):
                 names = by_name(trace["spans"])
-                if len(names.get("client.attempt", [])) == 3:
+                if all(
+                    len(names.get(name, [])) == 3
+                    for name in (
+                        "client.attempt", "http.request", "breaker.rejected"
+                    )
+                ):
                     return trace["spans"]
             return None
 
         spans = wait_for(find)
-        assert spans is not None, "expected 3 client.attempt spans"
+        assert spans is not None, (
+            "expected 3 client.attempt spans, each with its server side"
+        )
         names = by_name(spans)
 
         # One trace id across the root, every attempt, and the server side.
