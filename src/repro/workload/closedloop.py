@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .des import Delay, Simulator
-from .distributions import Distribution, Exponential
+from .distributions import Distribution, Exponential, WeightedChoice
 from .transactions import Transaction, TransactionClass, validate_mix
 
 __all__ = ["ClosedLoopDriver"]
@@ -70,8 +70,8 @@ class ClosedLoopDriver:
         )
         self._think_rng = think_rng
         self._mix_rng = mix_rng
-        self._weights = np.array([c.mix_weight for c in self.classes])
-        self._weights = self._weights / self._weights.sum()
+        weights = np.array([c.mix_weight for c in self.classes])
+        self._mix = WeightedChoice(weights / weights.sum())
         self.transactions: List[Transaction] = []
         self.injected = 0
         self._stopped = False
@@ -98,7 +98,7 @@ class ClosedLoopDriver:
             yield Delay(self.think_time.sample(self._think_rng))
             if self._stopped:
                 return
-            index = self._mix_rng.choice(len(self.classes), p=self._weights)
+            index = self._mix.draw(self._mix_rng)
             txn = Transaction(
                 txn_class=self.classes[index], arrived_at=self.sim.now
             )

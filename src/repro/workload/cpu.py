@@ -145,7 +145,7 @@ class MultiCoreCpu:
 
     def submit(self, job: CpuJob) -> None:
         """Add a burst to the ready queue and fill any idle cores."""
-        if job.remaining < 0:
+        if not job.remaining >= 0:
             raise ValueError(f"work must be non-negative, got {job.remaining}")
         if job.remaining <= _EPSILON:
             # Zero-length burst: complete without occupying a core.
@@ -199,7 +199,7 @@ class Execute(Effect):
     """
 
     def __init__(self, cpu: MultiCoreCpu, work: float):
-        if work < 0:
+        if not work >= 0:
             raise ValueError(f"work must be non-negative, got {work}")
         self.cpu = cpu
         self.work = float(work)

@@ -10,8 +10,10 @@ A tiny process-oriented DES engine in the style of SimPy, built from scratch:
   effects resume the process synchronously, waiting effects park it until a
   resource or timer fires.
 
-Determinism: events at equal timestamps are ordered by insertion sequence
-number, so runs are exactly reproducible for a given seed.
+Determinism: the heap holds ``(time, seq, event)`` tuples, where ``seq`` is a
+unique insertion counter, so events at equal timestamps run in insertion
+order, the comparison never reaches the :class:`Event`, and runs are exactly
+reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Delay(Effect):
     """Suspend the process for a fixed duration of simulated time."""
 
     def __init__(self, duration: float):
-        if duration < 0:
+        if not duration >= 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
         self.duration = float(duration)
 
@@ -67,9 +69,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the callback from running (the heap entry is skipped)."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = " cancelled" if self.cancelled else ""
@@ -128,7 +127,7 @@ class Process:
 
 
 class Simulator:
-    """Event loop: a clock plus a heap of pending events."""
+    """Event loop: a clock plus a heap of ``(time, seq, event)`` entries."""
 
     def __init__(self):
         self.now = 0.0
@@ -143,10 +142,12 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` after ``delay`` simulated time units."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        event = Event(self.now + delay, next(self._seq), callback)
-        heapq.heappush(self._heap, event)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def spawn(
@@ -168,19 +169,17 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            if event.time < self.now:
-                raise RuntimeError(
-                    f"event at t={event.time} is before now={self.now}"
-                )
-            self.now = event.time
+            if time < self.now:
+                raise RuntimeError(f"event at t={time} is before now={self.now}")
+            self.now = time
             self.events_executed += 1
             event.callback()
             return True
@@ -197,11 +196,11 @@ class Simulator:
                 f"end_time {end_time} is before current time {self.now}"
             )
         while self._heap:
-            event = self._heap[0]
+            time, _, event = self._heap[0]
             if event.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if event.time > end_time:
+            if time > end_time:
                 break
             self.step()
         self.now = end_time

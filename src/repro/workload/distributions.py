@@ -8,6 +8,7 @@ the same objects.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Sequence, Type, Union
 
 import numpy as np
@@ -21,8 +22,47 @@ __all__ = [
     "LogNormal",
     "Hyperexponential",
     "Geometric",
+    "WeightedChoice",
     "get_distribution",
 ]
+
+
+class WeightedChoice:
+    """Weighted index draws, bit-identical to ``Generator.choice`` given ``p``.
+
+    ``Generator.choice`` re-validates ``p`` and rebuilds its CDF on every
+    call, which costs ~12 µs against ~0.8 µs for one ``rng.random()``.  This
+    builds the CDF once, exactly as ``choice`` does (``cumsum``, then divide
+    by the last entry), and makes ``choice``'s checks on ``p`` (finite,
+    non-negative, positive sum) once, here.  :meth:`draw` takes the same
+    single double from the stream and locates it as ``choice``'s
+    ``searchsorted(side="right")`` does, so it returns the same index and
+    leaves the generator in the same state.  The weights need not sum to 1;
+    pass the vector ``choice`` would get for bit identity with it.
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, weights: Sequence[float]):
+        p = np.array(weights, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError(f"weights must be a non-empty vector, got {weights}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"weights must be finite, got {weights}")
+        if np.any(p < 0):
+            raise ValueError(f"weights must be non-negative, got {weights}")
+        cdf = p.cumsum()
+        if not cdf[-1] > 0:
+            raise ValueError(f"weights must have a positive sum, got {weights}")
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One index in ``range(len(weights))``."""
+        return bisect_right(self._cdf, rng.random())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"WeightedChoice(cdf={self._cdf})"
 
 
 class Distribution:
@@ -49,7 +89,7 @@ class Deterministic(Distribution):
     name = "deterministic"
 
     def __init__(self, value: float):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"value must be non-negative, got {value}")
         self.value = float(value)
 
@@ -66,7 +106,7 @@ class Exponential(Distribution):
     name = "exponential"
 
     def __init__(self, mean: float):
-        if mean <= 0:
+        if not mean > 0:
             raise ValueError(f"mean must be positive, got {mean}")
         self._mean = float(mean)
 
@@ -87,7 +127,7 @@ class Erlang(Distribution):
     name = "erlang"
 
     def __init__(self, mean: float, k: int = 4):
-        if mean <= 0:
+        if not mean > 0:
             raise ValueError(f"mean must be positive, got {mean}")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -107,7 +147,7 @@ class Uniform(Distribution):
     name = "uniform"
 
     def __init__(self, low: float, high: float):
-        if low < 0 or high < low:
+        if not 0 <= low <= high:
             raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
         self.low = float(low)
         self.high = float(high)
@@ -129,9 +169,9 @@ class LogNormal(Distribution):
     name = "lognormal"
 
     def __init__(self, mean: float, sigma: float = 0.5):
-        if mean <= 0:
+        if not mean > 0:
             raise ValueError(f"mean must be positive, got {mean}")
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self._mean = float(mean)
         self.sigma = float(sigma)
@@ -154,17 +194,17 @@ class Hyperexponential(Distribution):
         weights = [float(w) for w in weights]
         if len(means) != len(weights) or not means:
             raise ValueError("means and weights must be equal-length, non-empty")
-        if any(m <= 0 for m in means):
+        if not all(m > 0 for m in means):
             raise ValueError(f"means must be positive, got {means}")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError(f"weights must be non-negative and sum > 0")
+        if not all(w >= 0 for w in weights) or not sum(weights) > 0:
+            raise ValueError("weights must be non-negative and sum > 0")
         total = sum(weights)
         self.means = means
         self.weights = [w / total for w in weights]
+        self._branch = WeightedChoice(self.weights)
 
     def sample(self, rng):
-        branch = rng.choice(len(self.means), p=self.weights)
-        return float(rng.exponential(self.means[branch]))
+        return float(rng.exponential(self.means[self._branch.draw(rng)]))
 
     def mean(self):
         return float(sum(w * m for w, m in zip(self.weights, self.means)))

@@ -17,7 +17,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .des import Simulator
-from .distributions import Distribution, Geometric
+from .distributions import Distribution, Geometric, WeightedChoice
 from .transactions import Transaction, TransactionClass, validate_mix
 
 __all__ = ["LoadDriver"]
@@ -85,8 +85,10 @@ class LoadDriver:
         ]
         web_weights = np.array([c.mix_weight for c in self._web_classes])
         self._web_share = float(web_weights.sum())
-        self._web_weights = (
-            web_weights / web_weights.sum() if web_weights.size else web_weights
+        self._web_choice = (
+            WeightedChoice(web_weights / web_weights.sum())
+            if web_weights.size
+            else None
         )
         self.transactions: List[Transaction] = []
         self.injected = 0
@@ -129,9 +131,7 @@ class LoadDriver:
             return
         count = max(1, int(round(self.batch_size.sample(self._arrival_rng))))
         for _ in range(count):
-            index = self._mix_rng.choice(
-                len(self._web_classes), p=self._web_weights
-            )
+            index = self._web_choice.draw(self._mix_rng)
             self._spawn(self._web_classes[index])
         self._schedule_web_batch()
 

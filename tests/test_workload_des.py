@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.workload.cpu import CpuJob, Execute, MultiCoreCpu
 from repro.workload.des import Delay, Effect, Process, Simulator
+
+NAN = float("nan")
 
 
 class TestScheduling:
@@ -182,3 +185,21 @@ class TestProcesses:
     def test_negative_delay_effect_rejected(self):
         with pytest.raises(ValueError):
             Delay(-1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Simulator().schedule(NAN, lambda: None),
+        lambda: Delay(NAN),
+        lambda: Execute(MultiCoreCpu(Simulator()), NAN),
+        lambda: MultiCoreCpu(Simulator()).submit(CpuJob(None, NAN)),
+    ],
+    ids=["schedule", "delay", "execute", "cpu-submit"],
+)
+def test_nan_duration_rejected(make):
+    """NaN passes a ``< 0`` guard: a callback would run at ``now == nan``
+    in an insertion-dependent place (NaN is the one float that breaks the
+    ``(time, seq)`` heap order), and a NaN burst would hold a core forever."""
+    with pytest.raises(ValueError, match="must be non-negative"):
+        make()

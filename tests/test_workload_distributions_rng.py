@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload.distributions import (
     Deterministic,
@@ -16,6 +18,7 @@ from repro.workload.distributions import (
     Hyperexponential,
     LogNormal,
     Uniform,
+    WeightedChoice,
     get_distribution,
 )
 from repro.workload.rng import StreamRegistry
@@ -134,6 +137,89 @@ class TestSpecifics:
             Geometric(0.0)
         with pytest.raises(ValueError):
             Deterministic(-1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Deterministic(NAN), "value must be non-negative"),
+        (lambda: Exponential(NAN), "mean must be positive"),
+        (lambda: Erlang(NAN), "mean must be positive"),
+        (lambda: Uniform(NAN, 1.0), "need 0 <= low <= high"),
+        (lambda: Uniform(0.0, NAN), "need 0 <= low <= high"),
+        (lambda: LogNormal(NAN), "mean must be positive"),
+        (lambda: LogNormal(1.0, sigma=NAN), "sigma must be positive"),
+        (lambda: Hyperexponential([NAN, 0.02], [0.5, 0.5]), "means must be"),
+    ],
+    ids=[
+        "deterministic",
+        "exponential",
+        "erlang",
+        "uniform-low",
+        "uniform-high",
+        "lognormal-mean",
+        "lognormal-sigma",
+        "hyperexponential-means",
+    ],
+)
+def test_nan_parameter_rejected(make, message):
+    """Every guard is written so that NaN fails it."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+    min_size=1,
+    max_size=8,
+).filter(lambda w: sum(w) > 0)
+
+
+@given(weights=_WEIGHTS, seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_weighted_choice_is_generator_choice(weights, seed):
+    """Same indices as ``Generator.choice`` on a twin generator, and the
+    same generator state afterwards."""
+    w = np.array(weights)
+    p = w / w.sum()
+    choice = WeightedChoice(p)
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(64):
+        assert choice.draw(ours) == twin.choice(len(w), p=p)
+    assert ours.random() == twin.random()
+
+
+def test_weighted_choice_draw_on_a_cdf_step_goes_right():
+    """A draw equal to a CDF entry takes the next index with non-zero
+    weight, as ``searchsorted(side="right")`` inside ``choice`` does."""
+    u = np.random.default_rng(0).random()
+    p = [u, 0.0, 1.0 - u]
+    assert np.cumsum(p).tolist() == [u, u, 1.0]  # the draw lands on a step
+    assert WeightedChoice(p).draw(np.random.default_rng(0)) == 2
+    assert np.random.default_rng(0).choice(3, p=p) == 2
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[NAN, 1.0], [float("inf"), 1.0], [-0.5, 1.0], [0.0, 0.0], []],
+    ids=["nan", "inf", "negative", "all-zero", "empty"],
+)
+def test_weighted_choice_rejects_invalid_weights(weights):
+    with pytest.raises(ValueError, match="weights must"):
+        WeightedChoice(weights)
+
+
+@pytest.mark.parametrize(
+    "weights", [[NAN, 1.0], [float("inf"), 1.0]], ids=["nan", "inf"]
+)
+def test_hyperexponential_rejects_bad_weights_at_construction(weights):
+    # Regression: these used to construct and fail at the first draw,
+    # inside numpy.
+    with pytest.raises(ValueError, match="weights must"):
+        Hyperexponential(means=[0.01, 0.02], weights=weights)
 
 
 # One-shot script hashing every stochastic surface that feeds the trace
