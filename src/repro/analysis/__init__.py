@@ -19,7 +19,6 @@ from .sensitivity import (
     sensitivity_analysis,
 )
 from .surface import ResponseSurface, sweep
-from .whatif import IndicatorChange, WhatIfAnalyzer, WhatIfResult
 from .topology import (
     SurfaceClassification,
     SurfaceKind,
@@ -54,9 +53,6 @@ __all__ = [
     "measure_surface",
     "surface_agreement",
     "SurfaceAgreement",
-    "WhatIfAnalyzer",
-    "WhatIfResult",
-    "IndicatorChange",
     "sobol_indices",
     "SobolIndices",
     "pareto_frontier",

@@ -7,7 +7,6 @@ from .cross_validation import (
     cross_validate,
 )
 from .learning_curve import LearningCurve, LearningCurvePoint, learning_curve
-from .residuals import IndicatorResiduals, ResidualReport, residual_report
 from .metrics import (
     harmonic_mean,
     harmonic_mean_relative_error,
@@ -46,7 +45,4 @@ __all__ = [
     "learning_curve",
     "LearningCurve",
     "LearningCurvePoint",
-    "residual_report",
-    "ResidualReport",
-    "IndicatorResiduals",
 ]

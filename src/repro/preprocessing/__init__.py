@@ -1,6 +1,5 @@
-"""Sample pre-processing (paper Section 3.1): standardization and pipelines."""
+"""Sample pre-processing (paper Section 3.1): standardization."""
 
-from .pipeline import ScaledEstimator
 from .scalers import (
     IdentityScaler,
     MinMaxScaler,
@@ -17,5 +16,4 @@ __all__ = [
     "IdentityScaler",
     "get_scaler",
     "available_scalers",
-    "ScaledEstimator",
 ]

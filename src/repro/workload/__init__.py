@@ -61,7 +61,6 @@ from .service import (
     WorkloadMetrics,
 )
 from .timeline import Timeline, timeline_from_transactions
-from .trace import ArrivalTrace, TraceDriver, record_trace
 from .transactions import (
     DEFAULT_QUEUE,
     MFG_QUEUE,
@@ -123,13 +122,10 @@ __all__ = [
     "CapacityReport",
     "PoolDemand",
     "ClosedLoopDriver",
-    # adaptive sampling / traces
+    # adaptive sampling
     "AdaptiveSampler",
     "AdaptiveResult",
     "AdaptiveRound",
-    "ArrivalTrace",
-    "TraceDriver",
-    "record_trace",
     # disturbances / timelines
     "Disturbance",
     "DatabaseSlowdown",

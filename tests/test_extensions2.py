@@ -1,22 +1,14 @@
-"""Pinball loss, quantile models, adaptive sampling, traces, residuals."""
+"""Pinball loss, quantile models and adaptive sampling."""
 
 import numpy as np
 import pytest
 
-from repro.model_selection.residuals import residual_report
 from repro.models.quantile import QuantileWorkloadModel, tail_targets
 from repro.nn.losses import Pinball
 from repro.workload.adaptive import AdaptiveSampler
 from repro.workload.analytic import AnalyticWorkloadModel
-from repro.workload.appserver import AppServer
-from repro.workload.database import Database
-from repro.workload.des import Simulator
-from repro.workload.driver import LoadDriver
-from repro.workload.rng import StreamRegistry
 from repro.workload.sampler import ConfigSpace, ParameterRange
 from repro.workload.service import ThreeTierWorkload, WorkloadConfig
-from repro.workload.trace import ArrivalTrace, TraceDriver, record_trace
-from repro.workload.transactions import standard_mix
 
 
 class TestPinball:
@@ -175,133 +167,3 @@ class TestAdaptiveSampler:
         sampler = AdaptiveSampler(AnalyticWorkloadModel(), SPACE)
         with pytest.raises(ValueError):
             sampler.collect(budget=3)
-
-
-def _serving_stack(seed=0):
-    sim = Simulator()
-    streams = StreamRegistry(seed)
-    db = Database(sim, connections=10, rng=streams.stream("db"))
-    server = AppServer(
-        sim,
-        db,
-        mfg_threads=10,
-        web_threads=14,
-        default_threads=10,
-        rng=streams.stream("svc"),
-    )
-    return sim, streams, server
-
-
-class TestTrace:
-    def make_trace(self):
-        sim, streams, server = _serving_stack()
-        driver = LoadDriver(
-            sim,
-            standard_mix(),
-            injection_rate=150,
-            handler=server.handle,
-            arrival_rng=streams.stream("arr"),
-            mix_rng=streams.stream("mix"),
-        )
-        driver.start()
-        sim.run_until(2.0)
-        driver.stop()
-        return record_trace(driver)
-
-    def test_record_preserves_counts(self):
-        trace = self.make_trace()
-        assert len(trace) > 100
-        assert trace.mean_rate() == pytest.approx(150, rel=0.3)
-        assert set(trace.class_counts()) <= {c.name for c in standard_mix()}
-
-    def test_csv_round_trip(self, tmp_path):
-        trace = self.make_trace()
-        loaded = ArrivalTrace.load_csv(trace.save_csv(tmp_path / "t.csv"))
-        assert len(loaded) == len(trace)
-        assert loaded.class_counts() == trace.class_counts()
-        assert loaded.duration == trace.duration
-
-    def test_replay_injects_identical_arrivals(self):
-        trace = self.make_trace()
-        sim, streams, server = _serving_stack(seed=9)
-        replay = TraceDriver(sim, standard_mix(), trace, server.handle)
-        replay.start()
-        sim.run_until(trace.duration + 1.0)
-        assert replay.injected == len(trace)
-        replayed_times = sorted(t.arrived_at for t in replay.transactions)
-        original_times = sorted(a.time for a in trace)
-        np.testing.assert_allclose(replayed_times, original_times)
-
-    def test_replay_paired_comparison_is_deterministic(self):
-        """Replaying the same trace twice gives identical indicators."""
-        trace = self.make_trace()
-
-        def run_once():
-            sim, streams, server = _serving_stack(seed=5)
-            replay = TraceDriver(sim, standard_mix(), trace, server.handle)
-            replay.start()
-            sim.run_until(trace.duration + 1.0)
-            return sorted(
-                t.response_time for t in replay.transactions if t.is_complete
-            )
-
-        np.testing.assert_allclose(run_once(), run_once())
-
-    def test_unknown_class_rejected(self):
-        trace = ArrivalTrace([(0.1, "warp_drive")])
-        sim, streams, server = _serving_stack()
-        with pytest.raises(ValueError, match="warp_drive"):
-            TraceDriver(sim, standard_mix(), trace, server.handle)
-
-    def test_unordered_trace_rejected(self):
-        with pytest.raises(ValueError):
-            ArrivalTrace([(1.0, "a"), (0.5, "a")])
-
-    def test_mid_run_start_rejected(self):
-        # Regression: starting a replay after the clock passed the first
-        # arrival used to surface as an opaque negative-delay scheduling
-        # error from deep inside the simulator.
-        trace = ArrivalTrace([(0.5, "dealer_browse")])
-        sim, streams, server = _serving_stack()
-        sim.schedule(2.0, lambda: None)
-        sim.run_until(2.0)
-        replay = TraceDriver(sim, standard_mix(), trace, server.handle)
-        with pytest.raises(ValueError, match="clock is already"):
-            replay.start()
-
-
-class TestResiduals:
-    def test_unbiased_clean_fit_not_flagged(self, rng):
-        actual = rng.normal(loc=10.0, scale=1.0, size=(100, 2))
-        predicted = actual + rng.normal(scale=0.1, size=(100, 2))
-        report = residual_report(predicted, actual, output_names=["a", "b"])
-        assert report.flagged() == []
-
-    def test_bias_detected(self, rng):
-        actual = rng.normal(size=(100, 1))
-        predicted = actual + 0.5 + rng.normal(scale=0.1, size=(100, 1))
-        report = residual_report(predicted, actual, output_names=["x"])
-        assert report["x"].biased
-        assert "BIASED" in report.to_text()
-
-    def test_heteroscedasticity_detected(self, rng):
-        predicted = np.linspace(1.0, 100.0, 200).reshape(-1, 1)
-        noise = rng.normal(size=(200, 1)) * predicted * 0.1
-        actual = predicted + noise
-        report = residual_report(predicted, actual)
-        assert report.per_indicator[0].heteroscedastic
-
-    def test_outliers_found(self, rng):
-        actual = np.zeros((50, 1))
-        predicted = rng.normal(scale=0.1, size=(50, 1))
-        predicted[7, 0] = 5.0
-        report = residual_report(predicted, actual)
-        assert 7 in report.per_indicator[0].outliers
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            residual_report(np.zeros((2, 1)), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            residual_report(np.zeros((5, 1)), np.zeros((5, 2)))
-        with pytest.raises(KeyError):
-            residual_report(np.zeros((5, 1)), np.ones((5, 1)))["missing"]

@@ -1,4 +1,4 @@
-"""Measured surfaces, surface agreement, what-if analysis."""
+"""Measured surfaces and surface agreement."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,7 @@ from repro.analysis.measured import (
     surface_agreement,
 )
 from repro.analysis.surface import ResponseSurface, sweep
-from repro.analysis.whatif import WhatIfAnalyzer
-from repro.models.ensemble import NeuralEnsemble
-from repro.workload.sampler import SampleCollector, latin_hypercube
-from repro.workload.sampler import ConfigSpace, ParameterRange
-from repro.workload.service import (
-    OUTPUT_NAMES,
-    ThreeTierWorkload,
-    WorkloadConfig,
-)
+from repro.workload.service import ThreeTierWorkload
 
 
 class TestMeasureSurface:
@@ -104,57 +96,3 @@ class TestSurfaceAgreement:
         assert "harmonic-mean error" in surface_agreement(
             predicted, measured
         ).to_text()
-
-
-class TestWhatIf:
-    @pytest.fixture(scope="class")
-    def analyzer(self):
-        space = ConfigSpace(
-            [
-                ParameterRange("injection_rate", 300, 500),
-                ParameterRange("default_threads", 4, 20),
-                ParameterRange("mfg_threads", 12, 20),
-                ParameterRange("web_threads", 12, 22),
-            ]
-        )
-        workload = ThreeTierWorkload(warmup=0.3, duration=1.5, seed=6)
-        dataset = SampleCollector(workload).collect(
-            latin_hypercube(space, 24, seed=6)
-        )
-        dataset.y = np.maximum(dataset.y, 1e-3)
-        ensemble = NeuralEnsemble(
-            n_members=3,
-            seed=0,
-            hidden=(10,),
-            error_threshold=0.01,
-            max_epochs=2500,
-        ).fit(dataset.x, dataset.y)
-        return WhatIfAnalyzer(ensemble)
-
-    def test_change_report_covers_all_indicators(self, analyzer):
-        result = analyzer.compare(
-            WorkloadConfig(400, 12, 16, 18), {"web_threads": 4}
-        )
-        assert {c.indicator for c in result.changes} == set(OUTPUT_NAMES)
-        assert result.proposed.web_threads == 22
-
-    def test_starving_the_web_pool_predicts_latency_increase(self, analyzer):
-        result = analyzer.compare(
-            WorkloadConfig(450, 12, 16, 18), {"web_threads": -6}
-        )
-        assert result["dealer_browse_rt"].delta > 0
-
-    def test_unknown_parameter_rejected(self, analyzer):
-        with pytest.raises(ValueError):
-            analyzer.compare(WorkloadConfig(400, 12, 16, 18), {"gpu": 1})
-
-    def test_unfitted_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            WhatIfAnalyzer(NeuralEnsemble(n_members=2))
-
-    def test_text(self, analyzer):
-        result = analyzer.compare(
-            WorkloadConfig(400, 12, 16, 18), {"default_threads": 2}
-        )
-        text = result.to_text()
-        assert "What if" in text and "default_threads 12 -> 14" in text

@@ -1,4 +1,4 @@
-"""Scalers (paper Section 3.1 standardization) and the scaled-estimator pipeline."""
+"""Scalers (paper Section 3.1 standardization)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.preprocessing.pipeline import ScaledEstimator
 from repro.preprocessing.scalers import (
     IdentityScaler,
     MinMaxScaler,
@@ -119,53 +118,6 @@ class TestRegistry:
 
     def test_listing(self):
         assert set(available_scalers()) == {"standard", "minmax", "identity"}
-
-
-class _RecordingEstimator:
-    """Captures what it was fitted on; predicts a constant in scaled space."""
-
-    def __init__(self):
-        self.seen_x = None
-        self.seen_y = None
-
-    def fit(self, x, y):
-        self.seen_x = x.copy()
-        self.seen_y = y.copy()
-        return self
-
-    def predict(self, x):
-        return np.tile(self.seen_y.mean(axis=0), (x.shape[0], 1))
-
-
-class TestScaledEstimator:
-    def test_estimator_sees_standardized_data(self, features):
-        inner = _RecordingEstimator()
-        pipeline = ScaledEstimator(inner)
-        y = features[:, :2] * 100.0 + 5.0
-        pipeline.fit(features, y)
-        np.testing.assert_allclose(inner.seen_x.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(inner.seen_y.std(axis=0), 1.0, atol=1e-10)
-
-    def test_predictions_in_physical_units(self, features):
-        pipeline = ScaledEstimator(_RecordingEstimator())
-        y = features[:, :2] * 100.0 + 5.0
-        pipeline.fit(features, y)
-        predicted = pipeline.predict(features)
-        # Constant-in-scaled-space prediction = the physical mean.
-        np.testing.assert_allclose(
-            predicted[0], y.mean(axis=0), rtol=1e-8
-        )
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            ScaledEstimator(_RecordingEstimator()).predict(np.zeros((1, 2)))
-
-    def test_identity_scalers_optional(self, features):
-        inner = _RecordingEstimator()
-        pipeline = ScaledEstimator(inner, x_scaler=None, y_scaler=None)
-        y = features[:, :1]
-        pipeline.fit(features, y)
-        np.testing.assert_array_equal(inner.seen_x, features)
 
 
 @given(
