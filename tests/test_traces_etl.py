@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces.etl import (
     CSV_HEADER,
@@ -202,3 +204,87 @@ class TestIngestFile:
         trace = ingest(path)
         assert len(trace) == 50
         assert trace.stats.skipped.get("malformed") == 50
+
+
+class TestDirtyLines:
+    """One dirty line is skipped and counted; it never aborts the ingest
+    or takes the lines after it down with it."""
+
+    @pytest.mark.parametrize("n_lines, quote_line", [(20_000, 6), (300, 4)])
+    def test_stray_quote_costs_only_its_own_line(
+        self, tmp_path, n_lines, quote_line
+    ):
+        rows = [f"{i * 0.01:.2f},browse,0.05" for i in range(n_lines)]
+        rows[quote_line - 1] = '0.5,"browse,0.05'
+        path = tmp_path / "quote.csv"
+        path.write_text("\n".join(rows) + "\n")
+        trace = ingest(path)
+        assert len(trace) == n_lines - 1
+        assert trace.stats.lines_total == n_lines
+        assert trace.stats.skipped == {"malformed": 1}
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_first_timestamp_is_malformed(self, tmp_path, stamp):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            f"timestamp,class,service_time\n{stamp},a,0.1\n"
+            "1.0,a,0.1\n2.5,a,0.2\n"
+        )
+        trace = ingest(path)
+        np.testing.assert_array_equal(trace.arrivals, [0.0, 1.5])
+        assert trace.stats.skipped == {"malformed": 1}
+        assert [w.count for w in trace.windows(1.0)] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "field, oversized",
+        [
+            ("2023", "9" * 20),
+            ("14/", "9" * 20 + "/"),
+            # Each term fits a float; their sum overflows to inf.
+            ("22:13:20", f"4{'0' * 304}:5{'0' * 305}:1{'0' * 308}"),
+        ],
+        ids=["year", "day", "time"],
+    )
+    def test_oversized_clf_date_field_is_malformed(self, field, oversized):
+        line = CLF_LINE.replace(field, oversized, 1)
+        assert parse_clf_line(line) is None
+        stats = IngestStats()
+        assert len(list(iter_clf([line, CLF_LINE], stats))) == 1
+        assert stats.skipped == {"malformed": 1}
+
+
+_DIRTY_TOKENS = ['"', ",", "\x00", "nan", "inf", "-", ".", *"0123456789"]
+_DIRTY_TEXT = st.lists(st.sampled_from(_DIRTY_TOKENS), max_size=12).map(
+    "".join
+)
+_CLF_TEMPLATE = (
+    '10.0.0.1 - - [{}/Nov/{}:{}:{}:{} +0000] "GET /{} HTTP/1.1" 200 1 {}'
+)
+_CLF_SHAPED = st.builds(
+    _CLF_TEMPLATE.format,
+    *[st.text("0123456789", min_size=1, max_size=25)] * 5,
+    _DIRTY_TEXT,
+    _DIRTY_TEXT,
+)
+
+
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.one_of(_DIRTY_TEXT, _CLF_SHAPED), st.sampled_from(["\n", ""])
+        ).map("".join),
+        max_size=30,
+    ),
+    parser=st.sampled_from([iter_clf, iter_csv]),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_dirty_lines_are_counted_and_never_raise(lines, parser):
+    """Any line, of either format, is parsed or skipped and counted: the
+    ingest never raises, and the arrivals it keeps are finite and in order."""
+    stats = IngestStats()
+    trace = IngestedTrace(parser(lines, stats), stats)
+    assert stats.lines_total == len(lines)
+    skipped = stats.skipped.get("blank", 0) + stats.skipped.get("malformed", 0)
+    assert stats.parsed + skipped == len(lines)
+    assert np.all(np.isfinite(trace.arrivals))
+    assert np.all(np.diff(trace.arrivals) >= 0)
