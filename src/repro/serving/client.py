@@ -335,6 +335,13 @@ class ServingClient:
                         f"{type(exc).__name__}: {exc}",
                         request_id=request_id,
                     ) from exc
+                if deadline is not None and deadline.expired:
+                    # The socket timeout was the rest of the deadline, so
+                    # the server's own 504 can lose the race to it.
+                    raise ServingError(
+                        504, "client deadline exhausted",
+                        request_id=request_id,
+                    ) from exc
                 raise
 
         outer = (
