@@ -13,7 +13,6 @@ provides that companion machinery from scratch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -128,12 +127,6 @@ class PCA:
             f"PCA(n_components={self.n_components}, "
             f"correlation={self.correlation}, fitted={self.is_fitted})"
         )
-
-
-@dataclass
-class _SubsetState:
-    chosen: List[int]
-    coverage: float
 
 
 def subset_benchmarks(

@@ -46,8 +46,6 @@ HEALTHY = "healthy"
 DEGRADED = "degraded"
 UNHEALTHY = "unhealthy"
 
-_STATES = (HEALTHY, DEGRADED, UNHEALTHY)
-
 
 class OverloadedError(RuntimeError):
     """The admission queue is full; the request was shed."""
