@@ -5,7 +5,7 @@ The factory's two interactive paths carry explicit cost ceilings:
 1. **ETL** — ``ingest()`` must stream at >= 100k lines/s on the canonical
    CSV format (a day-long access log at 100 req/s is ~8.6M lines; below
    this floor interactive use stops being interactive);
-2. **validation** — the full ``repro-ingest validate`` verdict on the
+2. **validation** — the full ``repro ingest validate`` verdict on the
    bundled sample (fit + emit + generative replay + moment comparison)
    must land in under a second, so it can gate CI and pre-deploy checks.
 

@@ -1,6 +1,6 @@
 """Continuous-learning demo: record → drift → retrain → promote → rollback.
 
-The whole ``repro-lifecycle`` loop on a tiny configuration, end to end and
+The whole ``repro lifecycle`` loop on a tiny configuration, end to end and
 deterministic — this is also what the CI lifecycle smoke runs:
 
 1. train a baseline characterization model on the analytic backend's
@@ -9,7 +9,7 @@ deterministic — this is also what the CI lifecycle smoke runs:
 2. drive *shifted* traffic (window moved up 150 tps, measured indicators
    rescaled 1.2x) through the driver, recording paired
    (prediction, measurement) observations into an observation journal
-   (the directory format ``repro-serve --journal-dir`` writes);
+   (the directory format ``repro serve --journal-dir`` writes);
 3. ``check-drift`` — both signals trip: the configuration stream scores
    far outside the deployed scaler statistics and the harmonic-mean
    residual error exceeds the loose-fit threshold;
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.lifecycle.cli import main as lifecycle
+from repro.cli import main as repro
 from repro.models.neural import NeuralWorkloadModel
 from repro.models.persistence import save_model
 from repro.workload.analytic import AnalyticWorkloadModel
@@ -63,10 +63,10 @@ def train_baseline(registry: Path) -> None:
 
 
 def run(step: str, argv: list) -> dict:
-    print(f"$ repro-lifecycle {' '.join(argv)}")
+    print(f"$ repro lifecycle {' '.join(argv)}")
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = lifecycle(argv)
+        code = repro(["lifecycle", *argv])
     output = buffer.getvalue()
     print(output)
     if code != 0:

@@ -7,7 +7,7 @@ The observability subsystem end to end in one CI-fast script:
    spans — client retry attempts, HTTP handling, cache lookup, the
    micro-batcher's queue-wait/execute split — reassemble into one tree,
 3. export every span to a JSONL file and aggregate it the way
-   ``repro-trace summary`` does,
+   ``repro trace summary`` does,
 4. read the same trace back over ``GET /traces``,
 5. show the per-stage latency histograms on ``/metrics``.
 
@@ -122,7 +122,7 @@ def main():
             t["trace_id"] == first[0]["trace_id"] for t in payload["traces"]
         ), "the traced request is retrievable over HTTP"
 
-        # --- per-stage aggregation (what `repro-trace summary` prints) --
+        # --- per-stage aggregation (what `repro trace summary` prints) --
         exported = [
             json.loads(line)
             for line in spans_path.read_text().splitlines()

@@ -23,15 +23,5 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.20"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
-    entry_points={
-        "console_scripts": [
-            "repro-experiments=repro.experiments.runner:main",
-            "repro-characterize=repro.cli:main",
-            "repro-serve=repro.cli:serve_main",
-            "repro-lifecycle=repro.cli:lifecycle_main",
-            "repro-trace=repro.cli:trace_main",
-            "repro-tune=repro.cli:tune_main",
-            "repro-ingest=repro.cli:ingest_main",
-        ]
-    },
+    entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -1,94 +1,94 @@
-"""Command-line entry point for one-shot workload characterization.
-
-``repro-characterize`` runs the full methodology — collect samples, train
-and cross-validate the model, classify surfaces, rank configurations — and
-writes the markdown report:
+"""The ``repro`` command: one entry point whose first argument picks a verb.
 
 .. code-block:: console
 
-   $ repro-characterize --samples 50 --output report.md
-   $ repro-characterize --scenario batch_heavy --backend analytic --fast
+   $ repro characterize --samples 50 --output report.md
+   $ repro experiments table2
+   $ repro serve --models-dir models
+   $ repro lifecycle status --models-dir models --store-dir store \\
+         --journal-dir journal
+   $ repro trace summary --file spans.jsonl
+   $ repro tune recommend --model paper --objective slo \\
+         --limit dealer_browse_rt=0.5
+   $ repro ingest ingest data/sample_trace.csv
 
-(The table/figure reproduction CLI is separate: ``repro-experiments``;
-model serving is ``repro-serve``, whose implementation lives in
-:mod:`repro.serving.server` and is re-exported here as :func:`serve_main`
-for the console-script wiring in ``setup.py``.)
+Each verb keeps its own parser, in the module :data:`VERBS` names, and
+that module is imported only when its verb is chosen.  ``python -m
+repro <verb>`` runs the same code without installing the package.
+
+:func:`main` is the one place that turns a failure into an exit code: an
+``OSError``, ``ValueError``, ``KeyError``, ``RuntimeError`` or
+:class:`~repro.serving.client.ServingError` prints ``error: <message>``
+on stderr and exits 1, a closed stdout pipe (``| head``) exits 0, and
+bad usage keeps argparse's exit 2.  Verbs report success codes of their
+own (``lifecycle retrain`` exits 2 when the gate rejects a candidate).
+
+``characterize`` runs the full methodology in one shot — collect samples,
+train and cross-validate the model, classify surfaces, rank
+configurations — and writes the markdown report.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
 import sys
 from typing import List, Optional
 
-import numpy as np
+__all__ = ["VERBS", "build_parser", "characterize", "main"]
 
-from .analysis.report import characterize
-from .models.neural import NeuralWorkloadModel
-from .workload.analytic import AnalyticWorkloadModel
-from .workload.sampler import (
-    ConfigSpace,
-    ParameterRange,
-    SampleCollector,
-    latin_hypercube,
-)
-from .workload.scenarios import available_scenarios, scenario
-from .workload.service import ThreeTierWorkload
-
-__all__ = [
-    "build_parser",
-    "main",
-    "serve_main",
-    "lifecycle_main",
-    "trace_main",
-    "tune_main",
-    "ingest_main",
-]
+#: verb -> ``module:function`` taking the verb's argv, returning an exit code.
+VERBS = {
+    "characterize": "repro.cli:characterize",
+    "experiments": "repro.experiments.runner:main",
+    "serve": "repro.serving.server:main",
+    "lifecycle": "repro.lifecycle.cli:main",
+    "trace": "repro.observability.cli:main",
+    "tune": "repro.tuning.cli:main",
+    "ingest": "repro.traces.cli:main",
+}
 
 
-def serve_main(argv: Optional[List[str]] = None) -> int:
-    """The ``repro-serve`` entry point (lazy import keeps startup light).
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run ``repro <verb> [args]``; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Non-linear workload characterization with neural networks. "
+            "Run `repro <verb> --help` for a verb's options."
+        ),
+    )
+    parser.add_argument("verb", choices=list(VERBS), help="what to run")
+    # Only the verb is parsed here; the rest belongs to the verb's parser.
+    verb = parser.parse_args(argv[:1]).verb
+    module, _, function = VERBS[verb].partition(":")
+    run = getattr(importlib.import_module(module), function)
+    try:
+        return run(argv[1:])
+    except BrokenPipeError:
+        # Downstream consumer (e.g. `| head`) closed the pipe: not an error.
+        # Detach stdout so interpreter shutdown does not retry the flush.
+        sys.stdout = open(os.devnull, "w")
+        return 0
+    except Exception as exc:
+        # Imported here so that only a failing verb loads the serving stack.
+        from .serving.client import ServingError
 
-    ``repro-serve --workers N`` scales out to N supervised inference
-    worker processes (crash isolation, failover routing); without it the
-    in-process engine serves — see :mod:`repro.cluster`."""
-    from .serving.server import main as _serve
-
-    return _serve(argv)
-
-
-def lifecycle_main(argv: Optional[List[str]] = None) -> int:
-    """The ``repro-lifecycle`` entry point (lazy import, same pattern)."""
-    from .lifecycle.cli import main as _lifecycle
-
-    return _lifecycle(argv)
-
-
-def trace_main(argv: Optional[List[str]] = None) -> int:
-    """The ``repro-trace`` entry point (lazy import, same pattern)."""
-    from .observability.cli import main as _trace
-
-    return _trace(argv)
-
-
-def tune_main(argv: Optional[List[str]] = None) -> int:
-    """The ``repro-tune`` entry point (lazy import, same pattern)."""
-    from .tuning.cli import main as _tune
-
-    return _tune(argv)
-
-
-def ingest_main(argv: Optional[List[str]] = None) -> int:
-    """The ``repro-ingest`` entry point (lazy import, same pattern)."""
-    from .traces.cli import main as _ingest
-
-    return _ingest(argv)
+        expected = (OSError, ValueError, KeyError, RuntimeError, ServingError)
+        if not isinstance(exc, expected):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-characterize`` argument parser."""
+    """The ``repro characterize`` argument parser."""
+    from .workload.scenarios import available_scenarios
+
     parser = argparse.ArgumentParser(
-        prog="repro-characterize",
+        prog="repro characterize",
         description=(
             "Characterize the 3-tier workload: collect samples, fit the "
             "neural model, classify surfaces, recommend configurations."
@@ -139,25 +139,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _space(args: argparse.Namespace) -> ConfigSpace:
-    low, high = args.injection
-    if not low < high:
-        raise SystemExit(f"--injection needs LOW < HIGH, got {low} {high}")
-    return ConfigSpace(
-        [
-            ParameterRange("injection_rate", low, high),
-            ParameterRange("default_threads", 2, 22),
-            ParameterRange("mfg_threads", 10, 24),
-            ParameterRange("web_threads", 14, 23),
-        ]
+def characterize(argv: Optional[List[str]] = None) -> int:
+    """The ``repro characterize`` verb; returns the process exit code."""
+    import numpy as np
+
+    from .analysis.report import characterize as characterize_dataset
+    from .models.neural import NeuralWorkloadModel
+    from .workload.analytic import AnalyticWorkloadModel
+    from .workload.sampler import (
+        ConfigSpace,
+        ParameterRange,
+        SampleCollector,
+        latin_hypercube,
     )
+    from .workload.scenarios import scenario
+    from .workload.service import ThreeTierWorkload
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.samples < 10:
         raise SystemExit("--samples must be at least 10")
+    low, high = args.injection
+    if not low < high:
+        raise SystemExit(f"--injection needs LOW < HIGH, got {low} {high}")
 
     classes = scenario(args.scenario)
     if args.backend == "analytic":
@@ -169,7 +172,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             duration=args.duration,
             seed=args.seed,
         )
-    space = _space(args)
+    space = ConfigSpace(
+        [
+            ParameterRange("injection_rate", low, high),
+            ParameterRange("default_threads", 2, 22),
+            ParameterRange("mfg_threads", 10, 24),
+            ParameterRange("web_threads", 14, 23),
+        ]
+    )
 
     print(
         f"Collecting {args.samples} samples from the {args.backend} "
@@ -191,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
     )
     print("Fitting and analyzing ...")
-    report = characterize(
+    report = characterize_dataset(
         dataset, model=model, cv_folds=5, seed=args.seed
     )
     path = report.save(args.output)
@@ -199,7 +209,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"Surface shapes: {report.surface_kinds}")
     print(f"Report written to {path}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())

@@ -101,9 +101,3 @@ def run_figure6(trial: int = 0, refresh: bool = False) -> SeriesFigure:
         actual=result.validation_actual,
         predicted=result.validation_predicted,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_figure5().to_text())
-    print()
-    print(run_figure6().to_text())

@@ -1,19 +1,18 @@
-"""Experiment registry and command-line entry point.
+"""Experiment registry and the ``repro experiments`` verb.
 
-``python -m repro.experiments <name>`` (or the installed
-``repro-experiments`` script) regenerates one table/figure, or all of them:
+``repro experiments <name>`` (or ``python -m repro experiments <name>``
+without installing) regenerates one table/figure, or all of them:
 
 .. code-block:: console
 
-   $ repro-experiments table2
-   $ repro-experiments figure7
-   $ repro-experiments all --refresh
+   $ repro experiments table2
+   $ repro experiments figure7
+   $ repro experiments all --refresh
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Callable, Dict
 
 from .figures56 import run_figure5, run_figure6
@@ -50,9 +49,9 @@ def run_experiment(name: str, refresh: bool = False):
 
 
 def main(argv=None) -> int:
-    """CLI entry point."""
+    """The ``repro experiments`` verb; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro experiments",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -77,7 +76,3 @@ def main(argv=None) -> int:
         print(result.to_text())
         print()
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())

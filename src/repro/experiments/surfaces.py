@@ -138,9 +138,3 @@ def run_figure8(refresh: bool = False) -> SurfaceFigure:
         surface=surface,
         classification=classify_surface(surface),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    for run in (run_figure4, run_figure7, run_figure8):
-        print(run().to_text())
-        print()

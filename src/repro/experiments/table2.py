@@ -97,7 +97,3 @@ def run_table2(refresh: bool = False) -> Table2Result:
         output_names=C.INDICATOR_LABELS,
     )
     return Table2Result(report=report, paper=PAPER_TABLE2.copy())
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run_table2().to_text())

@@ -22,7 +22,7 @@ the serving stack:
   history and performs the atomic promote/rollback into the registry
   directory the hot-reloading server watches.
 
-``repro-lifecycle`` drives the same loop from the shell.
+``repro lifecycle`` drives the same loop from the shell.
 """
 
 from .drift import (

@@ -1,8 +1,8 @@
-"""``repro-lifecycle`` — drive the continuous-learning loop from the shell.
+"""``repro lifecycle`` — drive the continuous-learning loop from the shell.
 
 The CLI operates on the same on-disk surfaces as a running server: a
 registry directory of deployed artifacts, a version store, and the
-observation journal ``repro-serve --journal-dir`` writes, so it works
+observation journal ``repro serve --journal-dir`` writes, so it works
 against a live deployment or fully offline.  ``check-drift``, ``retrain``
 and ``status`` only read the journal — no tail repair, no appends — so
 they never truncate a segment a live server is still appending to;
@@ -10,14 +10,14 @@ they never truncate a segment a live server is still appending to;
 
 Subcommands::
 
-    repro-lifecycle record      # measure sampled configs, journal them
-    repro-lifecycle check-drift # score the journal against the deployment
-    repro-lifecycle retrain     # fit a candidate, gate it, archive a version
-    repro-lifecycle promote     # deploy a stored version into the registry
-    repro-lifecycle rollback    # restore the previously-promoted version
-    repro-lifecycle status      # loop state as JSON
-    repro-lifecycle verify      # audit stored versions against checksums
-    repro-lifecycle recover     # repair manifests/artifacts/journal tail
+    repro lifecycle record      # measure sampled configs, journal them
+    repro lifecycle check-drift # score the journal against the deployment
+    repro lifecycle retrain     # fit a candidate, gate it, archive a version
+    repro lifecycle promote     # deploy a stored version into the registry
+    repro lifecycle rollback    # restore the previously-promoted version
+    repro lifecycle status      # loop state as JSON
+    repro lifecycle verify      # audit stored versions against checksums
+    repro lifecycle recover     # repair manifests/artifacts/journal tail
 
 ``record`` uses the fast closed-form
 :class:`~repro.workload.analytic.AnalyticWorkloadModel` as the measurement
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -51,7 +49,7 @@ __all__ = ["build_parser", "main"]
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lifecycle",
+        prog="repro lifecycle",
         description=(
             "Continuous-learning loop for served workload models: capture "
             "observations, detect drift, retrain behind a validation gate, "
@@ -75,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--journal-dir", required=True,
                 help="observation journal directory (the one "
-                     "repro-serve --journal-dir writes)",
+                     "repro serve --journal-dir writes)",
             )
 
     p = sub.add_parser(
@@ -373,17 +371,4 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `| head`) closed the pipe: not an error.
-        # Detach stdout so interpreter shutdown does not retry the flush.
-        sys.stdout = open(os.devnull, "w")
-        return 0
-    except (KeyError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())
+    return _COMMANDS[args.command](args)

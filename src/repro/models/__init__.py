@@ -13,6 +13,7 @@ from .linear import LinearWorkloadModel
 from .loglinear import LogLinearWorkloadModel
 from .neural import NeuralWorkloadModel
 from .persistence import (
+    decode_model,
     load_model,
     load_model_document,
     model_document_from_bytes,
@@ -39,6 +40,7 @@ __all__ = [
     "load_model",
     "load_model_document",
     "model_document_from_bytes",
+    "decode_model",
     "model_to_dict",
     "model_from_dict",
     "RBFWorkloadModel",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "load_model",
     "load_model_document",
     "model_document_from_bytes",
+    "decode_model",
 ]
 
 MODEL_FORMAT_VERSION = 1
@@ -156,10 +157,8 @@ def model_document_from_bytes(
 ) -> dict:
     """Parse already-read artifact bytes into the raw document ``dict``.
 
-    The single-read half of :func:`load_model_document`: callers that
-    already hold the file's bytes (the registry reads once to both
-    verify the sha256 and parse) skip a second disk read.  ``path`` only
-    names the source in error messages.
+    The JSON half of :func:`decode_model` and :func:`load_model_document`.
+    ``path`` only names the source in error messages.
     """
     try:
         payload = json.loads(data)
@@ -176,38 +175,65 @@ def model_document_from_bytes(
     return payload
 
 
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read model file {path}: {exc}") from exc
+
+
 def load_model_document(path: Union[str, Path]) -> dict:
     """Read and parse a model file into its raw document ``dict``.
 
-    This is the registry-facing half of :func:`load_model`: it validates
-    that the file holds *some* JSON object without committing to a format
-    version, so callers (e.g. :class:`repro.serving.registry.ModelRegistry`)
-    can inspect ``format_version`` before materializing networks.  All
-    failure modes raise :class:`ValueError` naming the offending file.
+    It validates only that the file holds *some* JSON object, without
+    committing to a format version.  All failure modes raise
+    :class:`ValueError` naming the offending file.
     """
     path = Path(path)
+    return model_document_from_bytes(_read(path), path)
+
+
+def decode_model(
+    data: bytes, path: Union[str, Path] = "<bytes>"
+) -> Tuple[dict, NeuralWorkloadModel]:
+    """Artifact bytes -> ``(document, model)``, the one artifact decoder.
+
+    :func:`load_model` and :class:`~repro.serving.registry.ModelRegistry`
+    both decode through here.  Every malformed document raises
+    :class:`ValueError` naming ``path``: invalid JSON, a wrong format
+    version, a missing field, a field of the wrong type or shape, and a
+    model that parses but cannot answer.  The last is caught by one probe:
+    the model must predict an all-zero row as a finite row of its own
+    output width, so a scaler of the wrong width or a non-finite weight
+    fails at load rather than at the first request.
+    """
+    payload = model_document_from_bytes(data, path)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ValueError(f"cannot read model file {path}: {exc}") from exc
-    return model_document_from_bytes(data, path)
+        model = model_from_dict(payload)
+        with np.errstate(all="ignore"):
+            probe = model.predict(np.zeros((1, model._n_inputs)))
+    except KeyError as exc:
+        raise ValueError(
+            f"model file {path} is missing required field {exc}"
+        ) from exc
+    except (LookupError, TypeError, AttributeError, ValueError,
+            ArithmeticError) as exc:
+        # What a mistyped or misshapen field raises from deep inside
+        # the constructors and the forward pass.
+        raise ValueError(f"cannot load model file {path}: {exc}") from exc
+    if probe.shape != (1, model._n_outputs) or not np.isfinite(probe).all():
+        raise ValueError(
+            f"cannot load model file {path}: it answers an all-zero probe "
+            f"row with {probe.tolist()}, not {model._n_outputs} finite values"
+        )
+    return payload, model
 
 
 def load_model(path: Union[str, Path]) -> NeuralWorkloadModel:
     """Read a model written by :func:`save_model`.
 
-    Any malformed artifact — invalid/truncated JSON, a wrong format
-    version, or missing fields — raises :class:`ValueError` naming the
-    offending file rather than surfacing a raw ``KeyError`` or
-    ``JSONDecodeError``.
+    Any malformed artifact raises :class:`ValueError` naming the file (see
+    :func:`decode_model`).
     """
     path = Path(path)
-    payload = load_model_document(path)
-    try:
-        return model_from_dict(payload)
-    except KeyError as exc:
-        raise ValueError(
-            f"model file {path} is missing required field {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise ValueError(f"cannot load model file {path}: {exc}") from exc
+    return decode_model(_read(path), path)[1]

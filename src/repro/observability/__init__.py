@@ -11,7 +11,7 @@ land in a bounded in-memory
 :class:`~repro.observability.trace.TraceBuffer` (behind ``GET /traces``)
 and optionally a
 :class:`~repro.observability.trace.JsonlSpanExporter` file (behind
-``repro-trace``).  The paper's own methodology is measurement-driven —
+``repro trace``).  The paper's own methodology is measurement-driven —
 Section 4 instruments per-transaction-class response times to build
 Table 2 — and the traces this layer captures are the same kind of
 per-stage timing data, fit for both debugging tail latency and training

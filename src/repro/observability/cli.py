@@ -1,11 +1,11 @@
-"""``repro-trace`` — inspect traces from a JSONL export or a live server.
+"""``repro trace`` — inspect traces from a JSONL export or a live server.
 
 Subcommands::
 
-    repro-trace tail    --file spans.jsonl [-n 20]     # recent spans
-    repro-trace tail    --url http://host:port         # via GET /traces
-    repro-trace show <trace-id> --file spans.jsonl     # indented span tree
-    repro-trace summary --file spans.jsonl             # per-stage p50/95/99
+    repro trace tail    --file spans.jsonl [-n 20]     # recent spans
+    repro trace tail    --url http://host:port         # via GET /traces
+    repro trace show <trace-id> --file spans.jsonl     # indented span tree
+    repro trace summary --file spans.jsonl             # per-stage p50/95/99
 
 ``show`` renders the parent/child tree with per-span *self time* (the
 span's duration minus its children's), which is what separates "the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -184,7 +183,7 @@ def format_summary_table(summary: Dict[str, dict]) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-trace",
+        prog="repro trace",
         description=(
             "Inspect serving traces: tail recent spans, render one "
             "trace's span tree, or aggregate per-stage latency quantiles."
@@ -277,15 +276,4 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except BrokenPipeError:
-        sys.stdout = open(os.devnull, "w")
-        return 0
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())
+    return _COMMANDS[args.command](args)

@@ -4,7 +4,7 @@ The serving stack is a multi-stage pipeline (client → HTTP server → cache
 → micro-batcher → engine → registry, with reliability fallbacks and
 lifecycle taps); when a request is slow, counters and gauges say *that* it
 was slow but not *where*.  This module is the measurement layer underneath
-``/traces`` and ``repro-trace``:
+``/traces`` and ``repro trace``:
 
 * :class:`Span` — one timed operation: monotonic start/duration, status,
   free-form attributes, and the ``trace_id``/``span_id``/``parent_id``
@@ -21,7 +21,7 @@ was slow but not *where*.  This module is the measurement layer underneath
   ``trace_id -> [span dict]`` with oldest-trace eviction; the store behind
   ``GET /traces``.
 * :class:`JsonlSpanExporter` — appends every finished span as one JSON
-  line; the files it writes are what ``repro-trace summary`` aggregates.
+  line; the files it writes are what ``repro trace summary`` aggregates.
 
 Propagation uses two headers: :data:`TRACE_ID_HEADER` carries the trace
 id, :data:`PARENT_SPAN_HEADER` the caller's span id.  Everything here is
@@ -378,7 +378,7 @@ class JsonlSpanExporter:
 
     Thread-safe; lines are written and flushed atomically under a lock so
     concurrent spans never interleave.  The output is the input format of
-    ``repro-trace summary`` / ``tail`` / ``show``.
+    ``repro trace summary`` / ``tail`` / ``show``.
     """
 
     def __init__(self, path):

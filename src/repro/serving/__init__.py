@@ -10,7 +10,7 @@ single-configuration queries into one vectorized forward pass, a
 :class:`~repro.serving.cache.PredictionCache` short-circuits exact-repeat
 configurations (the common case in tuning sweeps), and
 :class:`~repro.serving.server.ServingHTTPServer` exposes the whole engine
-over HTTP (``repro-serve``).  Everything is stdlib + NumPy.
+over HTTP (``repro serve``).  Everything is stdlib + NumPy.
 """
 
 from .batcher import BatcherClosedError, MicroBatcher

@@ -1,7 +1,7 @@
 """Thin urllib client for the serving HTTP API.
 
 Used by the tests, the serving benchmark, and scripts that want to query a
-running ``repro-serve`` without hand-rolling HTTP.  Single dependency-free
+running ``repro serve`` without hand-rolling HTTP.  Single dependency-free
 file; the only non-stdlib import is NumPy for the array convenience.
 
 Reliability: the client can carry a per-request deadline (sent as the
@@ -88,7 +88,7 @@ def _is_retryable(exc: BaseException) -> bool:
 
 
 class ServingClient:
-    """Talk to one ``repro-serve`` endpoint.
+    """Talk to one ``repro serve`` endpoint.
 
     Parameters
     ----------

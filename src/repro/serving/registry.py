@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..models.neural import NeuralWorkloadModel
-from ..models.persistence import model_document_from_bytes, model_from_dict
+from ..models.persistence import decode_model
 from ..reliability.faults import SITE_REGISTRY_LOAD, SITE_REGISTRY_STAT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -229,15 +229,7 @@ class ModelRegistry:
             ) from exc
         if self.integrity is not None:
             self.integrity.verify(path, payload=raw)
-        payload = model_document_from_bytes(raw, path)
-        try:
-            model = model_from_dict(payload)
-        except KeyError as exc:
-            raise ValueError(
-                f"model file {path} is missing required field {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ValueError(f"cannot load model file {path}: {exc}") from exc
+        payload, model = decode_model(raw, path)
         return RegistryEntry(
             name=name,
             model=model,

@@ -636,14 +636,14 @@ def create_server(
 
 
 # ----------------------------------------------------------------------
-# repro-serve CLI
+# repro serve CLI
 # ----------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-serve`` argument parser."""
+    """The ``repro serve`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro serve",
         description=(
             "Serve persisted workload models over HTTP: POST /predict, "
             "GET /models, GET /healthz, GET /metrics."
@@ -723,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace-export",
-        help="append finished spans to this JSONL file (repro-trace input)",
+        help="append finished spans to this JSONL file (repro trace input)",
     )
     parser.add_argument(
         "--no-tracing", action="store_true",
@@ -764,7 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; serves until interrupted (SIGTERM drains first)."""
+    """The ``repro serve`` verb; serves until interrupted (SIGTERM drains
+    first)."""
     args = build_parser().parse_args(argv)
     # Durability wiring is imported lazily: the serving package must stay
     # importable without dragging the lifecycle layer in at module level.
@@ -782,44 +783,41 @@ def main(argv: Optional[List[str]] = None) -> int:
                 store.redeploy_verified(name, args.models_dir) is not None
             ),
         )
-    try:
-        if args.workers > 0:
-            from ..cluster import ClusterEngine
+    if args.workers > 0:
+        from ..cluster import ClusterEngine
 
-            engine = ClusterEngine(
-                args.models_dir,
-                workers=args.workers,
-                replication=args.replication,
-                call_timeout=args.worker_call_timeout,
-                fallback=not args.no_fallback,
-                max_inflight=args.max_inflight or None,
-                shed_inflight=args.shed_inflight or None,
-                tracing=not args.no_tracing,
-                trace_sample_rate=args.trace_sample_rate,
-                slow_trace_ms=args.slow_trace_ms or None,
-                trace_export=args.trace_export,
-                supervisor_options={"restart_budget": args.restart_budget},
-                integrity=guard,
-            ).start()
-        else:
-            engine = ServingEngine(
-                args.models_dir,
-                batching=not args.no_batching,
-                max_batch_size=args.max_batch_size,
-                max_wait_ms=args.max_wait_ms,
-                cache_size=args.cache_size,
-                fallback=not args.no_fallback,
-                max_inflight=args.max_inflight or None,
-                shed_inflight=args.shed_inflight or None,
-                breaker_reset_timeout=args.breaker_reset_timeout,
-                tracing=not args.no_tracing,
-                trace_sample_rate=args.trace_sample_rate,
-                slow_trace_ms=args.slow_trace_ms or None,
-                trace_export=args.trace_export,
-                integrity=guard,
-            )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        engine = ClusterEngine(
+            args.models_dir,
+            workers=args.workers,
+            replication=args.replication,
+            call_timeout=args.worker_call_timeout,
+            fallback=not args.no_fallback,
+            max_inflight=args.max_inflight or None,
+            shed_inflight=args.shed_inflight or None,
+            tracing=not args.no_tracing,
+            trace_sample_rate=args.trace_sample_rate,
+            slow_trace_ms=args.slow_trace_ms or None,
+            trace_export=args.trace_export,
+            supervisor_options={"restart_budget": args.restart_budget},
+            integrity=guard,
+        ).start()
+    else:
+        engine = ServingEngine(
+            args.models_dir,
+            batching=not args.no_batching,
+            max_batch_size=args.max_batch_size,
+            max_wait_ms=args.max_wait_ms,
+            cache_size=args.cache_size,
+            fallback=not args.no_fallback,
+            max_inflight=args.max_inflight or None,
+            shed_inflight=args.shed_inflight or None,
+            breaker_reset_timeout=args.breaker_reset_timeout,
+            tracing=not args.no_tracing,
+            trace_sample_rate=args.trace_sample_rate,
+            slow_trace_ms=args.slow_trace_ms or None,
+            trace_export=args.trace_export,
+            integrity=guard,
+        )
     if guard is not None and guard.tracer is None:
         guard.tracer = engine.tracer
     marker = CleanShutdownMarker(Path(args.models_dir))
@@ -901,4 +899,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())
+    from ..cli import main as repro
+
+    sys.exit(repro(["serve", *sys.argv[1:]]))

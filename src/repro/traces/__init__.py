@@ -10,7 +10,7 @@ hand-written scenarios, with the piecewise-window time-varying arrival
 profile synthetic scenarios lack — and validates the emitted scenario by
 replaying it through the simulator and comparing sim-vs-trace moments.
 
-``repro-ingest`` is the CLI; ``ObservationLog.export_trace`` closes the
+``repro ingest`` is the CLI; ``ObservationLog.export_trace`` closes the
 loop by dumping captured live traffic back into the ingestible format.
 """
 

@@ -1,25 +1,24 @@
-"""``repro-ingest`` — the trace factory's command line.
+"""``repro ingest`` — the trace factory's command line.
 
 One subcommand per pipeline stage plus a generator for fixtures:
 
 .. code-block:: console
 
-   $ repro-ingest ingest data/sample_trace.csv
-   $ repro-ingest fit data/sample_trace.csv --window 40
-   $ repro-ingest emit data/sample_trace.csv --name sample --out sample.json
-   $ repro-ingest validate data/sample_trace.csv --seed 0
-   $ repro-ingest replay sample.json --three-tier
-   $ repro-ingest synth /tmp/trace.csv --fmt csv --seed 7
+   $ repro ingest ingest data/sample_trace.csv
+   $ repro ingest fit data/sample_trace.csv --window 40
+   $ repro ingest emit data/sample_trace.csv --name sample --out sample.json
+   $ repro ingest validate data/sample_trace.csv --seed 0
+   $ repro ingest replay sample.json --three-tier
+   $ repro ingest synth /tmp/trace.csv --fmt csv --seed 7
 
 ``validate`` exits 0 on a passing sim-vs-trace moment check and 2 on a
-failing one (the same convention as ``repro-lifecycle``'s gate).
+failing one (the same convention as ``repro lifecycle``'s gate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -35,7 +34,7 @@ __all__ = ["build_parser", "main"]
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-ingest",
+        prog="repro ingest",
         description=(
             "Trace-driven scenario factory: ingest request logs, fit "
             "distributions, emit replayable scenarios, validate them."
@@ -277,14 +276,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """The ``repro ingest`` verb; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())
+    return _COMMANDS[args.command](args)

@@ -47,10 +47,16 @@ __all__ = [
     "iter_csv",
     "ingest",
     "CSV_HEADER",
+    "MAX_WINDOWS",
 ]
 
 #: Canonical CSV trace header (the interchange format).
 CSV_HEADER = ["timestamp", "class", "service_time"]
+
+#: The most windows :meth:`IngestedTrace.windows` builds.  One far-future
+#: timestamp stretches a trace's duration without bound (arrivals never
+#: run backwards), and a window per width of that span would never finish.
+MAX_WINDOWS = 1_000_000
 
 _CLF_PATTERN = re.compile(
     r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+)'
@@ -381,6 +387,7 @@ class IngestedTrace:
         arrival at the same instant) yields one window holding them all.
         Trailing windows with zero arrivals are dropped; interior empty
         windows are kept (rate 0) so the piecewise profile stays honest.
+        More than :data:`MAX_WINDOWS` windows is a :class:`ValueError`.
         """
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
@@ -389,21 +396,30 @@ class IngestedTrace:
         n_windows = max(1, int(np.ceil((self.duration + 1e-12) / window_s)))
         if self.duration <= 0:
             n_windows = 1
+        if n_windows > MAX_WINDOWS:
+            raise ValueError(
+                f"{n_windows} windows of {window_s:g} s over a "
+                f"{self.duration:g} s trace exceed the limit of "
+                f"{MAX_WINDOWS}; use a wider window"
+            )
         indices = np.minimum(
             (self.arrivals / window_s).astype(int), n_windows - 1
         )
+        # Arrivals never decrease, so neither do their window indices:
+        # window i is one contiguous slice.
+        bounds = np.searchsorted(indices, np.arange(n_windows + 1))
         service_by_arrival = np.full(len(self), np.nan)
         service_by_arrival[self._service_mask] = self.service_samples
         windows = []
         for i in range(n_windows):
-            mask = indices == i
-            services = service_by_arrival[mask]
+            cut = slice(bounds[i], bounds[i + 1])
+            services = service_by_arrival[cut]
             windows.append(
                 TraceWindow(
                     index=i,
                     start=i * window_s,
                     duration=float(window_s),
-                    arrivals=self.arrivals[mask],
+                    arrivals=self.arrivals[cut],
                     service_samples=services[~np.isnan(services)],
                 )
             )

@@ -12,7 +12,7 @@ original trace on the moments that matter for workload characterization:
   fitted renewal process can only approximate).
 
 The pass/fail verdict is deterministic for a fixed seed — the acceptance
-contract of ``repro-ingest validate``.
+contract of ``repro ingest validate``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ into the serving and lifecycle stacks that the rest of the repo built:
 * :mod:`~repro.tuning.engine` — the cached, traced, load-shed-aware
   :class:`RecommendationEngine` behind ``POST /recommend`` and the
   lifecycle promote hook;
-* :mod:`~repro.tuning.cli` — the ``repro-tune`` command.
+* :mod:`~repro.tuning.cli` — the ``repro tune`` command.
 """
 
 from .engine import RecommendationEngine

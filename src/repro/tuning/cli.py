@@ -1,4 +1,4 @@
-"""``repro-tune`` — ask a running ``repro-serve`` for configurations.
+"""``repro tune`` — ask a running ``repro serve`` for configurations.
 
 Three subcommands against the autotuning endpoints:
 
@@ -7,7 +7,7 @@ Three subcommands against the autotuning endpoints:
 
     .. code-block:: console
 
-       $ repro-tune recommend --url http://127.0.0.1:8700 --model paper \\
+       $ repro tune --url http://127.0.0.1:8700 recommend --model paper \\
              --objective slo --limit dealer_browse_rt=0.5 --budget 256
 
 ``sweep``
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from typing import Dict, List, Optional
 
@@ -167,11 +166,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-tune`` argument parser."""
+    """The ``repro tune`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-tune",
+        prog="repro tune",
         description=(
-            "Query a running repro-serve for configuration "
+            "Query a running repro serve for configuration "
             "recommendations (POST /recommend)."
         ),
     )
@@ -254,19 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """The ``repro tune`` verb; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from ..serving.client import ServingError
-
-    try:
-        return args.func(args)
-    except ServingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry point
-    sys.exit(main())
+    return args.func(args)

@@ -134,8 +134,10 @@ def register_scenario(
     """Register a scenario family at runtime.
 
     Trace-emitted scenarios (:mod:`repro.traces`) use this to appear
-    alongside the hand-written mixes — ``scenario(name)`` and every CLI
-    ``--scenario`` flag then accept them.  The factory is validated once
+    alongside the hand-written mixes — ``scenario(name)`` and every
+    ``--scenario`` parser built afterwards in this process accept them;
+    the registry is per-process, so a new ``repro`` process does not.
+    The factory is validated once
     eagerly so a broken registration fails at registration time, not at
     first use.  Built-in names are immutable; re-registering another
     dynamic name requires ``overwrite=True``.

@@ -50,7 +50,7 @@ from repro.durability.recovery import RecoveryManager
 from repro.lifecycle.observations import ObservationLog
 from repro.lifecycle.store import VersionedModelStore
 from repro.models.neural import NeuralWorkloadModel
-from repro.models.persistence import save_model
+from repro.models.persistence import load_model, model_to_dict, save_model
 from repro.reliability.degradation import OverloadedError
 from repro.reliability.faults import (
     SITE_JOURNAL_APPEND,
@@ -62,6 +62,7 @@ from repro.reliability.faults import (
 )
 from repro.serving.batcher import BatcherClosedError, MicroBatcher
 from repro.serving.engine import ServingEngine
+from repro.serving.registry import ModelRegistry
 from repro.workload.service import INPUT_NAMES, OUTPUT_NAMES
 
 CONFIG = [450.0, 14.0, 16.0, 18.0]
@@ -436,6 +437,47 @@ class TestRegistryIntegrity:
             assert engine.metrics.to_dict()["auto_rollbacks_total"] >= 1
             quarantined = list((registry_dir / "quarantine").iterdir())
             assert quarantined
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["hyper"].update(hidden=5),
+            lambda doc: doc.update(x_scaler=None),
+            lambda doc: doc.update(networks=[]),
+            lambda doc: doc["x_scaler"].update(mean=[0.0] * 5),
+            lambda doc: doc["networks"][0]["parameters"].__setitem__(
+                0, float("nan")
+            ),
+        ],
+        ids=["hidden-int", "x-scaler-null", "no-networks", "wide-mean",
+             "nan-weight"],
+    )
+    def test_undecodable_artifact_reaches_the_rollback_hook(
+        self, tmp_path, model_a, mutate
+    ):
+        """A document that parses but cannot serve is a ValueError, so the
+        guard quarantines it and its rollback hook restores a good one."""
+        good = model_to_dict(model_a)
+        document = json.loads(json.dumps(good))
+        mutate(document)
+        path = tmp_path / "paper.json"  # no sha256 sidecar: unverified
+        path.write_text(json.dumps(document))
+        restored = []
+
+        def rollback(name):
+            restored.append(name)
+            path.write_text(json.dumps(good))
+            return True
+
+        guard = IntegrityGuard(rollback=rollback)
+        registry = ModelRegistry(tmp_path, integrity=guard)
+        model = registry.get("paper")
+        assert restored == ["paper"]
+        np.testing.assert_allclose(
+            model.predict(np.asarray([CONFIG])),
+            model_a.predict(np.asarray([CONFIG])),
+        )
+        assert list((tmp_path / "quarantine").iterdir())
 
     def test_without_guard_corruption_still_raises(self, tmp_path, model_a):
         registry_dir = tmp_path / "registry"
@@ -860,6 +902,65 @@ def test_journal_byte_prefix_replays_a_record_prefix(observations, data):
         replayed = replay(journal_dir)
         assert replayed == recorded[: len(replayed)]
         assert segment.read_bytes() == whole[:cut]
+
+
+def _field_paths(node, prefix=()):
+    """Every dict key of an artifact document, nested ones included."""
+    if isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _field_paths(value, prefix + (index,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+
+
+_FIELD_VALUES = [
+    None, True, 0, -1, 2.5, float("nan"), float("inf"), float("-inf"),
+    "x", [], [1, 2], {}, {"a": 1}, 1000000,
+]
+_VALID_ROWS = np.asarray([CONFIG, [500.0, 10.0, 12.0, 20.0]])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mutated_artifact_is_a_named_valueerror_or_a_working_model(
+    model_a, data
+):
+    """One field replaced or one byte changed: loading either raises a
+    ValueError naming the file or yields a model that answers valid rows
+    finitely, through ``load_model`` and the registry alike."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(model_a, Path(tmp) / "paper.json")
+        whole = path.read_bytes()
+        if data.draw(st.booleans(), label="byte edit"):
+            at = data.draw(st.integers(0, len(whole) - 1), label="offset")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            mutated = bytearray(whole)
+            mutated[at] ^= flip
+            path.write_bytes(bytes(mutated))
+            assert verify_file(path, retries=0)[0] is False
+        else:
+            document = json.loads(whole)
+            field = data.draw(
+                st.sampled_from(list(_field_paths(document))), label="field"
+            )
+            node = document
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = data.draw(
+                st.sampled_from(_FIELD_VALUES), label="value"
+            )
+            path.write_text(json.dumps(document))
+        for load in (load_model, lambda p: ModelRegistry(p.parent).get("paper")):
+            try:
+                model = load(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                continue
+            answer = model.predict(_VALID_ROWS)
+            assert answer.shape == (2, len(OUTPUT_NAMES))
+            assert np.isfinite(answer).all()
 
 
 # ----------------------------------------------------------------------

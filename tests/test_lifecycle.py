@@ -630,12 +630,12 @@ class TestCLI:
         assert out["models"]["paper"]["previous_version"] == 2
 
     def test_errors_exit_nonzero(self, tmp_path, capsys):
-        from repro.lifecycle.cli import main
+        from repro.cli import main
 
         (tmp_path / "registry").mkdir()
         code = main(
             [
-                "rollback",
+                "lifecycle", "rollback",
                 "--models-dir", str(tmp_path / "registry"),
                 "--store-dir", str(tmp_path / "store"),
             ]
@@ -646,12 +646,12 @@ class TestCLI:
     def test_record_validates_arguments_before_writing(
         self, registry_dir, tmp_path, capsys
     ):
-        from repro.lifecycle.cli import main
+        from repro.cli import main
 
         journal = tmp_path / "journal"
         code = main(
             [
-                "record", "--models-dir", str(registry_dir),
+                "lifecycle", "record", "--models-dir", str(registry_dir),
                 "--journal-dir", str(journal),
                 "--threads-min", "20", "--threads-max", "10",
             ]
@@ -664,12 +664,12 @@ class TestCLI:
     def test_read_only_commands_require_existing_journal_dir(
         self, command, registry_dir, tmp_path, capsys
     ):
-        from repro.lifecycle.cli import main
+        from repro.cli import main
 
         missing = tmp_path / "no-such-journal"
         code = main(
             [
-                command, "--models-dir", str(registry_dir),
+                "lifecycle", command, "--models-dir", str(registry_dir),
                 "--journal-dir", str(missing),
                 *self._store_args(command, tmp_path),
             ]
@@ -714,7 +714,7 @@ class TestCLI:
     def test_served_traffic_reaches_check_drift(
         self, registry_dir, tmp_path, capsys
     ):
-        """What ``repro-serve --journal-dir`` journals, the CLI reads."""
+        """What ``repro serve --journal-dir`` journals, the CLI reads."""
         from repro.lifecycle.cli import main
 
         journal = tmp_path / "journal"

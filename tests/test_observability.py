@@ -429,7 +429,7 @@ class TestEpochSpanHook:
 
 
 # ----------------------------------------------------------------------
-# repro-trace CLI
+# repro trace CLI
 # ----------------------------------------------------------------------
 
 
@@ -503,9 +503,11 @@ class TestTraceCli:
         assert "no trace" in capsys.readouterr().err
 
     def test_missing_file_is_an_error_not_a_crash(self, tmp_path, capsys):
+        from repro.cli import main
+
         assert (
-            trace_cli_main(
-                ["summary", "--file", str(tmp_path / "nope.jsonl")]
+            main(
+                ["trace", "summary", "--file", str(tmp_path / "nope.jsonl")]
             )
             == 1
         )

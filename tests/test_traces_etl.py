@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.traces import etl
 from repro.traces.etl import (
     CSV_HEADER,
     IngestedTrace,
@@ -165,6 +166,31 @@ class TestWindows:
     def test_invalid_window_width(self):
         with pytest.raises(ValueError):
             self.make([0.0, 1.0]).windows(0.0)
+
+    def test_far_future_timestamp_is_refused_not_windowed(self, tmp_path):
+        """One far-future line keeps its arrival and drops the later lines
+        (arrivals never run backwards); windowing the 10^12 s span it
+        leaves is a ValueError naming count, width and duration."""
+        path = tmp_path / "far.csv"
+        path.write_text(
+            "timestamp,class,service_time\n"
+            "0,a,0.1\n1,a,0.1\n1000000000000,a,0.1\n2,a,0.1\n3,a,0.1\n"
+        )
+        trace = ingest(path)
+        np.testing.assert_array_equal(trace.arrivals, [0.0, 1.0, 1e12])
+        assert trace.stats.skipped == {"out_of_order": 2}
+        with pytest.raises(ValueError) as refused:
+            trace.windows(3600.0)
+        message = str(refused.value)
+        assert "277777778 windows" in message
+        assert "3600 s" in message and "1e+12 s" in message
+
+    def test_window_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(etl, "MAX_WINDOWS", 10)
+        trace = self.make([0.0, 9.5])
+        assert len(trace.windows(1.0)) == 10
+        with pytest.raises(ValueError, match="11 windows"):
+            trace.windows(0.95)
 
 
 class TestIngestFile:

@@ -273,9 +273,23 @@ class TestCli:
         assert self.run("validate", trace, "--window", 40) == 0
 
     def test_validate_fails_loudly_on_degenerate_input(self, tmp_path):
+        from repro.cli import main
+
         path = tmp_path / "tiny.csv"
         path.write_text("timestamp,class,service_time\n1.0,a,0.1\n")
-        assert self.run("validate", path) == 1  # ValueError -> exit 1
+        # ValueError -> exit 1
+        assert main(["ingest", "validate", str(path)]) == 1
+
+    def test_far_future_timestamp_exits_1_not_hangs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "far.csv"
+        path.write_text(
+            "timestamp,class,service_time\n"
+            "0,a,0.1\n1,a,0.1\n1000000000000,a,0.1\n2,a,0.1\n3,a,0.1\n"
+        )
+        assert main(["ingest", "ingest", str(path)]) == 1
+        assert "error: 277777778 windows" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(SystemExit):

@@ -679,7 +679,7 @@ class TestLifecycleRetune:
 
 
 # ----------------------------------------------------------------------
-# repro-tune CLI
+# repro tune CLI
 # ----------------------------------------------------------------------
 
 
@@ -753,10 +753,10 @@ class TestTuneCLI:
 
     def test_server_error_exit_code(self, served, capsys):
         client, _ = served
-        from repro.tuning.cli import main as tune_main
+        from repro.cli import main
 
-        rc = tune_main(
-            ["--url", client.base_url, "recommend", "--model", "ghost"]
+        rc = main(
+            ["tune", "--url", client.base_url, "recommend", "--model", "ghost"]
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
