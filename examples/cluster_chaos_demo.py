@@ -130,9 +130,10 @@ def main():
             sources = Counter(r.source for r in results)
             print(f"\n  answered: {len(results)}  failed: {len(errors)}")
             print(f"  answer sources: {dict(sources)}")
+            counters = engine.metrics.counters
             print(
-                f"  failovers: {engine.metrics.worker_failovers_total}  "
-                f"restarts so far: {engine.metrics.worker_restarts_total}"
+                f"  failovers: {counters['worker_failovers_total']}  "
+                f"restarts so far: {counters['worker_restarts_total']}"
             )
             if errors:
                 print(f"FAIL: {len(errors)} requests surfaced errors, "
@@ -148,7 +149,7 @@ def main():
             ):
                 print("FAIL: pool never returned to full strength")
                 return 1
-            if engine.metrics.worker_restarts_total < 2:
+            if engine.metrics.counters["worker_restarts_total"] < 2:
                 print("FAIL: expected >= 2 supervised restarts")
                 return 1
             after = {

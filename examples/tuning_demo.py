@@ -110,7 +110,7 @@ def main() -> int:
             "the identical request to return a byte-identical body",
         )
         expect(
-            engine.metrics.recommendation_cache_hits_total == 1,
+            engine.metrics.counters["recommendation_cache_hits_total"] == 1,
             "the repeat to hit the recommendation cache",
         )
         print("  repeat request: byte-identical, served from cache\n")
@@ -126,8 +126,8 @@ def main() -> int:
 
         print("Promoting a retrained candidate (shifted indicators) ...")
         searches_before = (
-            engine.metrics.recommendations_total
-            - engine.metrics.recommendation_cache_hits_total
+            engine.metrics.counters["recommendations_total"]
+            - engine.metrics.counters["recommendation_cache_hits_total"]
         )
         version = store.save_version(
             "paper", train(seed=11, scale=1.25), {"status": "accepted"}
@@ -140,8 +140,8 @@ def main() -> int:
             "the promote hook to re-tune the standing objective",
         )
         searches_after = (
-            engine.metrics.recommendations_total
-            - engine.metrics.recommendation_cache_hits_total
+            engine.metrics.counters["recommendations_total"]
+            - engine.metrics.counters["recommendation_cache_hits_total"]
         )
         expect(
             searches_after > searches_before,

@@ -16,12 +16,15 @@ Each verb keeps its own parser, in the module :data:`VERBS` names, and
 that module is imported only when its verb is chosen.  ``python -m
 repro <verb>`` runs the same code without installing the package.
 
-:func:`main` is the one place that turns a failure into an exit code: an
+:func:`run` is the one place that turns a failure into an exit code: an
 ``OSError``, ``ValueError``, ``KeyError``, ``RuntimeError`` or
 :class:`~repro.serving.client.ServingError` prints ``error: <message>``
 on stderr and exits 1, a closed stdout pipe (``| head``) exits 0, and
-bad usage keeps argparse's exit 2.  Verbs report success codes of their
-own (``lifecycle retrain`` exits 2 when the gate rejects a candidate).
+bad usage keeps argparse's exit 2.  :func:`main` runs every verb through
+it, and so does ``python -m repro.serving.server``.  A verb reports a
+bad argument by raising ``ValueError``.  Verbs report success codes of
+their own (``lifecycle retrain`` exits 2 when the gate rejects a
+candidate).
 
 ``characterize`` runs the full methodology in one shot — collect samples,
 train and cross-validate the model, classify surfaces, rank
@@ -34,9 +37,9 @@ import argparse
 import importlib
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-__all__ = ["VERBS", "build_parser", "characterize", "main"]
+__all__ = ["VERBS", "build_parser", "characterize", "main", "run"]
 
 #: verb -> ``module:function`` taking the verb's argv, returning an exit code.
 VERBS = {
@@ -64,9 +67,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Only the verb is parsed here; the rest belongs to the verb's parser.
     verb = parser.parse_args(argv[:1]).verb
     module, _, function = VERBS[verb].partition(":")
-    run = getattr(importlib.import_module(module), function)
+    return run(getattr(importlib.import_module(module), function), argv[1:])
+
+
+def run(verb_main: Callable[[List[str]], int], argv: List[str]) -> int:
+    """Run one verb's ``verb_main(argv)``; returns the process exit code."""
     try:
-        return run(argv[1:])
+        return verb_main(argv)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe: not an error.
         # Detach stdout so interpreter shutdown does not retry the flush.
@@ -157,10 +164,10 @@ def characterize(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     if args.samples < 10:
-        raise SystemExit("--samples must be at least 10")
+        raise ValueError("--samples must be at least 10")
     low, high = args.injection
     if not low < high:
-        raise SystemExit(f"--injection needs LOW < HIGH, got {low} {high}")
+        raise ValueError(f"--injection needs LOW < HIGH, got {low} {high}")
 
     classes = scenario(args.scenario)
     if args.backend == "analytic":

@@ -419,7 +419,7 @@ class WorkerSupervisor:
         handle.restart_times.append(time.monotonic())
         handle.restarts += 1
         if self.metrics is not None:
-            self.metrics.record_worker_restart()
+            self.metrics.count(worker_restarts_total=1)
         try:
             self._spawn(handle)
             self._await_ready(handle)
@@ -458,12 +458,14 @@ class WorkerSupervisor:
     def _set_state(self, handle: WorkerHandle, state: str) -> None:
         handle.state = state
         if self.metrics is not None:
-            self.metrics.set_worker_state(str(handle.worker_id), state)
+            self.metrics.set_gauge(
+                "worker_state", str(handle.worker_id), state
+            )
 
     def _gauge_depth(self, handle: WorkerHandle) -> None:
         if self.metrics is not None:
-            self.metrics.set_worker_queue_depth(
-                str(handle.worker_id), handle.pending
+            self.metrics.set_gauge(
+                "worker_queue_depth", str(handle.worker_id), handle.pending
             )
 
     # ------------------------------------------------------------------

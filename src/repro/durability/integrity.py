@@ -339,7 +339,7 @@ class IntegrityGuard:
         if moved is not None:
             self.quarantined += 1
             if self.metrics is not None:
-                self.metrics.record_quarantine()
+                self.metrics.count(artifacts_quarantined_total=1)
             self._record_span(
                 "recovery.quarantine",
                 model=name,
@@ -355,7 +355,7 @@ class IntegrityGuard:
         if restored:
             self.auto_rollbacks += 1
             if self.metrics is not None:
-                self.metrics.record_auto_rollback()
+                self.metrics.count(auto_rollbacks_total=1)
             self._record_span("recovery.rollback", model=name)
         return restored
 
@@ -364,7 +364,7 @@ class IntegrityGuard:
     def _count_failure(self) -> None:
         self.verify_failures += 1
         if self.metrics is not None:
-            self.metrics.record_verify_failure()
+            self.metrics.count(artifact_verify_failures_total=1)
 
     def _record_span(self, name: str, **attributes) -> None:
         if self.tracer is None:

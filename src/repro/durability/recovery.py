@@ -143,13 +143,13 @@ class RecoveryManager:
             recovery = replay_journal(self.journal_dir, repair=True)
             report.journal = recovery.to_dict()
             if self.metrics is not None:
-                if recovery.recovered:
-                    self.metrics.record_journal_recovered(recovery.recovered)
-                if recovery.dropped:
-                    self.metrics.record_journal_dropped(recovery.dropped)
+                self.metrics.count(
+                    journal_records_recovered_total=recovery.recovered,
+                    journal_records_dropped_total=recovery.dropped,
+                )
         report.duration_s = time.monotonic() - started
         if self.metrics is not None:
-            self.metrics.record_recovery()
+            self.metrics.count(recoveries_total=1)
         self._record_span(
             "recovery.run",
             duration_s=report.duration_s,
@@ -212,12 +212,12 @@ class RecoveryManager:
             if moved is not None:
                 report.quarantined_artifacts.append(str(moved))
                 if self.metrics is not None:
-                    self.metrics.record_quarantine()
+                    self.metrics.count(artifacts_quarantined_total=1)
         redeployed = self.store.redeploy_verified(name, self.registry_dir)
         if redeployed is not None:
             report.redeployed[name] = redeployed
             if self.metrics is not None:
-                self.metrics.record_auto_rollback()
+                self.metrics.count(auto_rollbacks_total=1)
             self._record_span(
                 "recovery.artifact.redeploy", model=name, version=redeployed
             )
@@ -244,7 +244,7 @@ class RecoveryManager:
         verdict, _, _ = verify_file(target)
         if verdict is False:
             if self.metrics is not None:
-                self.metrics.record_verify_failure()
+                self.metrics.count(artifact_verify_failures_total=1)
             return False
         # Unverified (pre-durability) artifacts must at least parse.
         try:

@@ -273,7 +273,7 @@ class ObservationLog:
                         total = 0
                     self._journal_batch_bytes = total
         if self.metrics is not None:
-            self.metrics.record_observation()
+            self.metrics.count(observations_total=1)
         return True
 
     def record_batch(
@@ -518,7 +518,9 @@ class ObservationLog:
         if recovery.dropped:
             log._count_replay_dropped(recovery.dropped)
         if log.metrics is not None and log.journal_records_recovered:
-            log.metrics.record_journal_recovered(log.journal_records_recovered)
+            log.metrics.count(
+                journal_records_recovered_total=log.journal_records_recovered
+            )
         return log
 
     def _ingest(self, obs: Observation) -> None:
@@ -542,7 +544,7 @@ class ObservationLog:
         with self._lock:
             self.journal_records_dropped += count
         if self.metrics is not None:
-            self.metrics.record_journal_dropped(count)
+            self.metrics.count(journal_records_dropped_total=count)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

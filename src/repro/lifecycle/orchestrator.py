@@ -257,7 +257,7 @@ class LifecycleOrchestrator:
                 span.set_attribute("config_score", float(report.config_score))
         self.last_drift[name] = report
         if self.metrics is not None and report.config_score is not None:
-            self.metrics.set_drift_score(name, report.config_score)
+            self.metrics.set_gauge("drift_score", name, report.config_score)
         return report
 
     def _split(
@@ -344,7 +344,7 @@ class LifecycleOrchestrator:
             )
             span.set_attribute("epochs", int(candidate.total_epochs_))
         if self.metrics is not None:
-            self.metrics.record_retrain()
+            self.metrics.count(retrains_total=1)
         return candidate, holdout_x, holdout_y, cv_error
 
     def validate(
@@ -476,7 +476,7 @@ class LifecycleOrchestrator:
         with self._span("lifecycle.promote", model=name, version=int(version)):
             target = self.store.promote(name, version, self.registry_dir)
         if self.metrics is not None:
-            self.metrics.record_promotion()
+            self.metrics.count(promotions_total=1)
         self._retune(name)
         return target
 
@@ -486,7 +486,7 @@ class LifecycleOrchestrator:
             version = self.store.rollback(name, self.registry_dir)
             span.set_attribute("version", int(version))
         if self.metrics is not None:
-            self.metrics.record_rollback()
+            self.metrics.count(rollbacks_total=1)
         self._retune(name)
         return version
 
@@ -614,12 +614,12 @@ class LifecycleOrchestrator:
             },
         }
         if self.metrics is not None:
+            snapshot = self.metrics.to_dict()
             payload["counters"] = {
-                "observations_total": self.metrics.observations_total,
-                "retrains_total": self.metrics.retrains_total,
-                "promotions_total": self.metrics.promotions_total,
-                "rollbacks_total": self.metrics.rollbacks_total,
-                "drift_scores": self.metrics.drift_scores(),
+                name: snapshot[name]
+                for name in ("observations_total", "retrains_total",
+                             "promotions_total", "rollbacks_total",
+                             "drift_scores")
             }
         if self.tuner is not None:
             payload["tuning"] = self.tuner.standing_status()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from typing import Dict, List, Optional
 from urllib.request import urlopen
@@ -242,15 +241,12 @@ def _cmd_show(args) -> int:
         }
     )
     if not matches:
-        print(f"error: no trace matching {args.trace_id!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no trace matching {args.trace_id!r}")
     if len(matches) > 1:
-        print(
-            f"error: ambiguous prefix {args.trace_id!r} matches "
-            f"{len(matches)} traces: {[m[:12] for m in matches]}",
-            file=sys.stderr,
+        raise ValueError(
+            f"ambiguous prefix {args.trace_id!r} matches "
+            f"{len(matches)} traces: {[m[:12] for m in matches]}"
         )
-        return 1
     trace_id = matches[0]
     selected = [s for s in spans if s["trace_id"] == trace_id]
     print(f"trace {trace_id} ({len(selected)} spans)")
@@ -261,8 +257,7 @@ def _cmd_show(args) -> int:
 def _cmd_summary(args) -> int:
     spans = _load_spans(args)
     if not spans:
-        print("no spans found", file=sys.stderr)
-        return 1
+        raise ValueError("no spans found")
     print(format_summary_table(stage_summary(spans)))
     return 0
 

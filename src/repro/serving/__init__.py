@@ -10,7 +10,9 @@ single-configuration queries into one vectorized forward pass, a
 :class:`~repro.serving.cache.PredictionCache` short-circuits exact-repeat
 configurations (the common case in tuning sweeps), and
 :class:`~repro.serving.server.ServingHTTPServer` exposes the whole engine
-over HTTP (``repro serve``).  Everything is stdlib + NumPy.
+over HTTP (``repro serve``).  The HTTP layer is imported from
+``repro.serving.server`` only, so ``python -m repro.serving.server`` runs
+that module once.  Everything is stdlib + NumPy.
 """
 
 from .batcher import BatcherClosedError, MicroBatcher
@@ -19,7 +21,6 @@ from .client import ServingClient, ServingError, TruncatedResponseError
 from .engine import PredictionResult, ServingEngine
 from .metrics import ServingMetrics
 from .registry import ModelRegistry, RegistryEntry
-from .server import ServingHTTPServer, create_server
 
 __all__ = [
     "ModelRegistry",
@@ -30,8 +31,6 @@ __all__ = [
     "ServingMetrics",
     "ServingEngine",
     "PredictionResult",
-    "ServingHTTPServer",
-    "create_server",
     "ServingClient",
     "ServingError",
     "TruncatedResponseError",

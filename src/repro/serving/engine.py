@@ -290,7 +290,7 @@ class Engine:
                 if self._draining or self._closed:
                     # Admission is closed: the caller should retry against
                     # another replica (503 + Retry-After at the HTTP layer).
-                    self.metrics.record_shed()
+                    self.metrics.count(shed_requests_total=1)
                     raise OverloadedError(
                         retry_after=self.retry_after_s,
                         message="serving engine is not admitting requests",
@@ -302,7 +302,7 @@ class Engine:
                     self.shed_inflight is not None
                     and inflight > self.shed_inflight
                 ):
-                    self.metrics.record_shed()
+                    self.metrics.count(shed_requests_total=1)
                     raise OverloadedError(retry_after=self.retry_after_s)
                 soft_overloaded = (
                     self.max_inflight is not None
@@ -313,7 +313,7 @@ class Engine:
                 with self._lock:
                     self._inflight -= 1
             if result.degraded:
-                self.metrics.record_degraded()
+                self.metrics.count(degraded_requests_total=1)
             if span is not NOOP_SPAN:
                 span.set_attribute("source", result.source)
         if self.observer is not None:
@@ -774,11 +774,13 @@ class ServingEngine(Engine):
                     name=model_name,
                     on_state_change=(
                         lambda old, new, name=model_name:
-                        self.metrics.set_breaker_state(name, new)
+                        self.metrics.set_gauge("breaker_state", name, new)
                     ),
                 )
                 self._breakers[model_name] = breaker
-                self.metrics.set_breaker_state(model_name, breaker.state)
+                self.metrics.set_gauge(
+                    "breaker_state", model_name, breaker.state
+                )
             return breaker
 
     def _batcher_for(self, model_name: str) -> MicroBatcher:

@@ -1,10 +1,13 @@
 """Serving observability: counters plus a ring-buffer latency histogram.
 
 Monotonic counters track requests, predictions, batches, errors, and the
-reliability layer's outcomes (degraded answers, shed requests); a
-fixed-size ring buffer of recent request latencies yields p50/p95/p99
-without unbounded memory, and a per-model gauge mirrors each circuit
-breaker's state.  On top of the window, per-pipeline-stage fixed-bucket
+reliability, lifecycle, durability, tuning and cluster layers' outcomes;
+keyed gauges mirror each cluster worker's state and queue depth and each
+model's drift score and circuit-breaker state.  Each counter is one row
+of :data:`COUNTERS` and each gauge one row of :data:`GAUGES`, so adding a
+metric is adding a row.  A fixed-size ring buffer of recent request
+latencies yields p50/p95/p99 without unbounded memory.  On top of the
+window, per-pipeline-stage fixed-bucket
 :class:`~repro.observability.histogram.LatencyHistogram` instances (fed by
 the tracing layer through :meth:`ServingMetrics.span_observer`) expose
 Prometheus ``_bucket`` lines from which p50/p95/p99 per stage are
@@ -24,7 +27,7 @@ from ..observability.histogram import LatencyHistogram
 from ..reliability.policies import BREAKER_STATES
 from .cache import PredictionCache
 
-__all__ = ["ServingMetrics", "WORKER_STATE_VALUES"]
+__all__ = ["COUNTERS", "GAUGES", "ServingMetrics", "WORKER_STATE_VALUES"]
 
 _QUANTILES = (0.5, 0.95, 0.99)
 
@@ -40,9 +43,68 @@ WORKER_STATE_VALUES = {
     "stopped": 5,
 }
 
+#: Every counter as ``(name, Prometheus help)``, in exposition order.  A
+#: ``None`` help keeps the counter out of the text exposition (it still
+#: appears in :meth:`ServingMetrics.to_dict`).
+COUNTERS = (
+    ("requests_total", "Requests served."),
+    ("predictions_total", "Configurations predicted."),
+    ("errors_total", "Failed requests."),
+    ("degraded_requests_total", "Requests answered by a fallback tier."),
+    ("shed_requests_total", "Requests refused by load shedding."),
+    ("batches_total", "Micro-batches flushed."),
+    ("batched_items_total", None),
+    # Continuous-learning loop (repro.lifecycle).
+    ("observations_total",
+     "Traffic observations captured by the lifecycle tap."),
+    ("retrains_total", "Lifecycle retraining runs."),
+    ("promotions_total", "Candidate models promoted."),
+    ("rollbacks_total", "Promotions rolled back."),
+    # Durability (repro.durability).
+    ("artifact_verify_failures_total",
+     "Artifacts whose bytes failed sha256 verification."),
+    ("artifacts_quarantined_total",
+     "Corrupt artifacts moved into quarantine."),
+    ("auto_rollbacks_total",
+     "Verified-good versions redeployed over corrupt artifacts."),
+    ("journal_records_recovered_total",
+     "Observation journal records replayed after restart."),
+    ("journal_records_dropped_total",
+     "Observation journal records lost to torn tails."),
+    ("recoveries_total", "Startup recovery passes completed."),
+    # Autotuning (repro.tuning).
+    ("recommendations_total", "Configuration recommendations served."),
+    ("recommendation_cache_hits_total",
+     "Recommendations answered from the LRU cache."),
+    ("recommendation_search_evals_total",
+     "Model evaluations spent in recommendation searches."),
+    # Cluster (repro.cluster).
+    ("worker_restarts_total", "Cluster worker processes respawned."),
+    ("worker_failovers_total", "Requests retried on a sibling replica."),
+)
+
+#: Every keyed gauge as ``(name, label, Prometheus help, encoding)``.  A
+#: dict encoding lists the allowed states and the number each is exposed
+#: as; a type converts the value when it is set.  ``to_dict`` keys the
+#: gauge as ``name + "s"``; an empty gauge is left out of the text.
+GAUGES = (
+    ("worker_state", "worker",
+     "Cluster worker state (0=starting, 1=ready, 2=suspect, 3=restarting, "
+     "4=failed, 5=stopped).", WORKER_STATE_VALUES),
+    ("worker_queue_depth", "worker",
+     "In-flight and queued calls per cluster worker.", int),
+    ("drift_score", "model",
+     "Latest configuration-drift score per model.", float),
+    ("breaker_state", "model",
+     "Circuit-breaker state per model (0=closed, 1=half_open, 2=open).",
+     BREAKER_STATES),
+)
+
+_ENCODINGS = {name: encoding for name, _, _, encoding in GAUGES}
+
 
 class ServingMetrics:
-    """Thread-safe serving counters and latency percentiles.
+    """Thread-safe serving counters, gauges and latency percentiles.
 
     Parameters
     ----------
@@ -60,36 +122,9 @@ class ServingMetrics:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.cache = cache
-        self.requests_total = 0
-        self.predictions_total = 0
-        self.batches_total = 0
-        self.batched_items_total = 0
-        self.errors_total = 0
-        self.degraded_requests_total = 0
-        self.shed_requests_total = 0
-        # Continuous-learning loop (repro.lifecycle) counters.
-        self.observations_total = 0
-        self.retrains_total = 0
-        self.promotions_total = 0
-        self.rollbacks_total = 0
-        # Durability (repro.durability) counters.
-        self.artifact_verify_failures_total = 0
-        self.artifacts_quarantined_total = 0
-        self.auto_rollbacks_total = 0
-        self.journal_records_recovered_total = 0
-        self.journal_records_dropped_total = 0
-        self.recoveries_total = 0
-        # Autotuning (repro.tuning) counters.
-        self.recommendations_total = 0
-        self.recommendation_cache_hits_total = 0
-        self.recommendation_search_evals_total = 0
-        # Cluster (repro.cluster) counters and gauges.
-        self.worker_restarts_total = 0
-        self.worker_failovers_total = 0
-        self._worker_states: Dict[str, str] = {}
-        self._worker_queue_depths: Dict[str, int] = {}
-        self._drift_scores: Dict[str, float] = {}
-        self._breaker_states: Dict[str, str] = {}
+        #: ``{counter name: count}`` for every :data:`COUNTERS` row.
+        self.counters: Dict[str, int] = {name: 0 for name, _ in COUNTERS}
+        self._gauges: Dict[str, dict] = {name: {} for name in _ENCODINGS}
         self._latencies = deque(maxlen=int(window))
         self._stage_hist: Dict[str, LatencyHistogram] = {}
         self._lock = threading.Lock()
@@ -98,144 +133,51 @@ class ServingMetrics:
     # recording
     # ------------------------------------------------------------------
 
+    def count(self, **deltas: int) -> None:
+        """Add to counters by name: ``count(shed_requests_total=1)``.
+
+        A name that is not a :data:`COUNTERS` row raises ``KeyError``.
+        """
+        with self._lock:
+            for name, delta in deltas.items():
+                self.counters[name] += int(delta)
+
     def record_request(self, n_configs: int, latency_s: float) -> None:
         """One served request of ``n_configs`` configurations."""
         with self._lock:
-            self.requests_total += 1
-            self.predictions_total += int(n_configs)
+            self.counters["requests_total"] += 1
+            self.counters["predictions_total"] += int(n_configs)
             self._latencies.append(float(latency_s))
 
     def record_batch(self, batch_size: int) -> None:
         """One flushed micro-batch (hook for ``MicroBatcher.on_batch``)."""
-        with self._lock:
-            self.batches_total += 1
-            self.batched_items_total += int(batch_size)
-
-    def record_error(self) -> None:
-        """One failed request (validation or model error)."""
-        with self._lock:
-            self.errors_total += 1
-
-    def record_degraded(self) -> None:
-        """One request answered by a fallback tier instead of the MLP."""
-        with self._lock:
-            self.degraded_requests_total += 1
-
-    def record_shed(self) -> None:
-        """One request refused by load shedding (503 + Retry-After)."""
-        with self._lock:
-            self.shed_requests_total += 1
-
-    def record_observation(self, n: int = 1) -> None:
-        """``n`` traffic observations captured by the lifecycle tap."""
-        with self._lock:
-            self.observations_total += int(n)
-
-    def record_retrain(self) -> None:
-        """One retraining run launched by the lifecycle orchestrator."""
-        with self._lock:
-            self.retrains_total += 1
-
-    def record_promotion(self) -> None:
-        """One candidate model promoted into the registry directory."""
-        with self._lock:
-            self.promotions_total += 1
-
-    def record_rollback(self) -> None:
-        """One promotion rolled back to the prior version."""
-        with self._lock:
-            self.rollbacks_total += 1
-
-    def record_verify_failure(self) -> None:
-        """One artifact whose bytes failed sha256 verification."""
-        with self._lock:
-            self.artifact_verify_failures_total += 1
-
-    def record_quarantine(self) -> None:
-        """One corrupt artifact moved into quarantine."""
-        with self._lock:
-            self.artifacts_quarantined_total += 1
-
-    def record_auto_rollback(self) -> None:
-        """One verified-good version redeployed over a corrupt artifact."""
-        with self._lock:
-            self.auto_rollbacks_total += 1
-
-    def record_journal_recovered(self, n: int = 1) -> None:
-        """``n`` journal records successfully replayed after a restart."""
-        with self._lock:
-            self.journal_records_recovered_total += int(n)
-
-    def record_journal_dropped(self, n: int = 1) -> None:
-        """``n`` journal records lost to torn tails / malformed lines."""
-        with self._lock:
-            self.journal_records_dropped_total += int(n)
-
-    def record_recovery(self) -> None:
-        """One startup recovery pass completed."""
-        with self._lock:
-            self.recoveries_total += 1
-
-    def record_recommendation(self, evals: int = 0, cache_hit: bool = False) -> None:
-        """One configuration recommendation served (``evals`` model rows)."""
-        with self._lock:
-            self.recommendations_total += 1
-            self.recommendation_search_evals_total += int(evals)
-            if cache_hit:
-                self.recommendation_cache_hits_total += 1
-
-    def record_worker_restart(self) -> None:
-        """One cluster worker process respawned by the supervisor."""
-        with self._lock:
-            self.worker_restarts_total += 1
+        self.count(batches_total=1, batched_items_total=batch_size)
 
     def record_worker_failover(self) -> None:
         """One request retried on a sibling replica after a worker failure."""
-        with self._lock:
-            self.worker_failovers_total += 1
+        self.count(worker_failovers_total=1)
 
-    def set_worker_state(self, worker: str, state: str) -> None:
-        """Mirror one cluster worker's lifecycle state into the gauge."""
-        if state not in WORKER_STATE_VALUES:
+    def set_gauge(self, name: str, key: str, value) -> None:
+        """Set gauge ``name`` for one worker or model (``key``).
+
+        A state outside a dict encoding raises ``ValueError``; an unknown
+        gauge name raises ``KeyError``.
+        """
+        encoding = _ENCODINGS[name]
+        if not isinstance(encoding, dict):
+            value = encoding(value)
+        elif value not in encoding:
             raise ValueError(
-                f"unknown worker state {state!r}; "
-                f"expected one of {sorted(WORKER_STATE_VALUES)}"
+                f"unknown {name.replace('_', ' ')} {value!r}; "
+                f"expected one of {sorted(encoding)}"
             )
         with self._lock:
-            self._worker_states[worker] = state
+            self._gauges[name][key] = value
 
-    def worker_states(self) -> Dict[str, str]:
-        """Snapshot of the per-worker state gauge."""
+    def gauge(self, name: str) -> dict:
+        """Snapshot of one gauge: ``{worker or model: value}``."""
         with self._lock:
-            return dict(self._worker_states)
-
-    def set_worker_queue_depth(self, worker: str, depth: int) -> None:
-        """Mirror one worker's pending-call count (callers queued or active)."""
-        with self._lock:
-            self._worker_queue_depths[worker] = int(depth)
-
-    def worker_queue_depths(self) -> Dict[str, int]:
-        """Snapshot of the per-worker queue-depth gauge."""
-        with self._lock:
-            return dict(self._worker_queue_depths)
-
-    def set_drift_score(self, model: str, score: float) -> None:
-        """Mirror one model's latest configuration-drift score."""
-        with self._lock:
-            self._drift_scores[model] = float(score)
-
-    def drift_scores(self) -> Dict[str, float]:
-        """Snapshot of the per-model drift-score gauge."""
-        with self._lock:
-            return dict(self._drift_scores)
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        """Record one duration into ``stage``'s fixed-bucket histogram."""
-        with self._lock:
-            hist = self._stage_hist.get(stage)
-            if hist is None:
-                hist = self._stage_hist[stage] = LatencyHistogram()
-        hist.observe(seconds)
+            return dict(self._gauges[name])
 
     def span_observer(self) -> Callable[[dict], None]:
         """An ``on_span_end`` hook feeding span durations into histograms.
@@ -273,21 +215,6 @@ class ServingMetrics:
             stage: hist.to_dict() for stage, hist in sorted(histograms.items())
         }
 
-    def set_breaker_state(self, model: str, state: str) -> None:
-        """Mirror one model's circuit-breaker state into the gauge."""
-        if state not in BREAKER_STATES:
-            raise ValueError(
-                f"unknown breaker state {state!r}; "
-                f"expected one of {sorted(BREAKER_STATES)}"
-            )
-        with self._lock:
-            self._breaker_states[model] = state
-
-    def breaker_states(self) -> Dict[str, str]:
-        """Snapshot of the per-model breaker-state gauge."""
-        with self._lock:
-            return dict(self._breaker_states)
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -306,50 +233,19 @@ class ServingMetrics:
     @property
     def mean_batch_occupancy(self) -> float:
         """Average configurations per flushed micro-batch."""
-        return (
-            self.batched_items_total / self.batches_total
-            if self.batches_total
-            else 0.0
-        )
+        batches = self.counters["batches_total"]
+        items = self.counters["batched_items_total"]
+        return items / batches if batches else 0.0
 
     def to_dict(self) -> dict:
         """Snapshot of everything, JSON-serializable."""
-        snapshot = {
-            "requests_total": self.requests_total,
-            "predictions_total": self.predictions_total,
-            "errors_total": self.errors_total,
-            "degraded_requests_total": self.degraded_requests_total,
-            "shed_requests_total": self.shed_requests_total,
-            "batches_total": self.batches_total,
-            "batched_items_total": self.batched_items_total,
-            "mean_batch_occupancy": self.mean_batch_occupancy,
-            "observations_total": self.observations_total,
-            "retrains_total": self.retrains_total,
-            "promotions_total": self.promotions_total,
-            "rollbacks_total": self.rollbacks_total,
-            "artifact_verify_failures_total":
-                self.artifact_verify_failures_total,
-            "artifacts_quarantined_total": self.artifacts_quarantined_total,
-            "auto_rollbacks_total": self.auto_rollbacks_total,
-            "journal_records_recovered_total":
-                self.journal_records_recovered_total,
-            "journal_records_dropped_total":
-                self.journal_records_dropped_total,
-            "recoveries_total": self.recoveries_total,
-            "recommendations_total": self.recommendations_total,
-            "recommendation_cache_hits_total":
-                self.recommendation_cache_hits_total,
-            "recommendation_search_evals_total":
-                self.recommendation_search_evals_total,
-            "worker_restarts_total": self.worker_restarts_total,
-            "worker_failovers_total": self.worker_failovers_total,
-            "worker_states": self.worker_states(),
-            "worker_queue_depths": self.worker_queue_depths(),
-            "drift_scores": self.drift_scores(),
-            "breaker_states": self.breaker_states(),
-            "latency_seconds": self.latency_quantiles(),
-            "stage_latency_seconds": self.stage_latencies(),
-        }
+        with self._lock:
+            snapshot = dict(self.counters)
+            for name, values in self._gauges.items():
+                snapshot[f"{name}s"] = dict(values)
+        snapshot["mean_batch_occupancy"] = self.mean_batch_occupancy
+        snapshot["latency_seconds"] = self.latency_quantiles()
+        snapshot["stage_latency_seconds"] = self.stage_latencies()
         if self.cache is not None:
             snapshot["cache"] = self.cache.stats()
         return snapshot
@@ -358,139 +254,45 @@ class ServingMetrics:
         """Prometheus text exposition (counters + gauge-style quantiles)."""
         lines = []
 
-        def emit(name, kind, help_text, value, labels=""):
+        def emit(name, kind, help_text, *samples):
             lines.append(f"# HELP {prefix}_{name} {help_text}")
             lines.append(f"# TYPE {prefix}_{name} {kind}")
-            lines.append(f"{prefix}_{name}{labels} {value}")
+            for labels, value in samples:
+                lines.append(f"{prefix}_{name}{labels} {value}")
 
-        emit("requests_total", "counter", "Requests served.",
-             self.requests_total)
-        emit("predictions_total", "counter",
-             "Configurations predicted.", self.predictions_total)
-        emit("errors_total", "counter", "Failed requests.",
-             self.errors_total)
-        emit("degraded_requests_total", "counter",
-             "Requests answered by a fallback tier.",
-             self.degraded_requests_total)
-        emit("shed_requests_total", "counter",
-             "Requests refused by load shedding.", self.shed_requests_total)
-        emit("batches_total", "counter", "Micro-batches flushed.",
-             self.batches_total)
-        emit("observations_total", "counter",
-             "Traffic observations captured by the lifecycle tap.",
-             self.observations_total)
-        emit("retrains_total", "counter",
-             "Lifecycle retraining runs.", self.retrains_total)
-        emit("promotions_total", "counter",
-             "Candidate models promoted.", self.promotions_total)
-        emit("rollbacks_total", "counter",
-             "Promotions rolled back.", self.rollbacks_total)
-        emit("artifact_verify_failures_total", "counter",
-             "Artifacts whose bytes failed sha256 verification.",
-             self.artifact_verify_failures_total)
-        emit("artifacts_quarantined_total", "counter",
-             "Corrupt artifacts moved into quarantine.",
-             self.artifacts_quarantined_total)
-        emit("auto_rollbacks_total", "counter",
-             "Verified-good versions redeployed over corrupt artifacts.",
-             self.auto_rollbacks_total)
-        emit("journal_records_recovered_total", "counter",
-             "Observation journal records replayed after restart.",
-             self.journal_records_recovered_total)
-        emit("journal_records_dropped_total", "counter",
-             "Observation journal records lost to torn tails.",
-             self.journal_records_dropped_total)
-        emit("recoveries_total", "counter",
-             "Startup recovery passes completed.", self.recoveries_total)
-        emit("recommendations_total", "counter",
-             "Configuration recommendations served.",
-             self.recommendations_total)
-        emit("recommendation_cache_hits_total", "counter",
-             "Recommendations answered from the LRU cache.",
-             self.recommendation_cache_hits_total)
-        emit("recommendation_search_evals_total", "counter",
-             "Model evaluations spent in recommendation searches.",
-             self.recommendation_search_evals_total)
-        emit("worker_restarts_total", "counter",
-             "Cluster worker processes respawned.",
-             self.worker_restarts_total)
-        emit("worker_failovers_total", "counter",
-             "Requests retried on a sibling replica.",
-             self.worker_failovers_total)
-        worker_states = self.worker_states()
-        if worker_states:
-            lines.append(
-                f"# HELP {prefix}_worker_state Cluster worker state "
-                "(0=starting, 1=ready, 2=suspect, 3=restarting, 4=failed, "
-                "5=stopped)."
-            )
-            lines.append(f"# TYPE {prefix}_worker_state gauge")
-            for worker in sorted(worker_states):
-                lines.append(
-                    f'{prefix}_worker_state{{worker="{worker}"}} '
-                    f"{WORKER_STATE_VALUES[worker_states[worker]]}"
-                )
-        depths = self.worker_queue_depths()
-        if depths:
-            lines.append(
-                f"# HELP {prefix}_worker_queue_depth In-flight and queued "
-                "calls per cluster worker."
-            )
-            lines.append(f"# TYPE {prefix}_worker_queue_depth gauge")
-            for worker in sorted(depths):
-                lines.append(
-                    f'{prefix}_worker_queue_depth{{worker="{worker}"}} '
-                    f"{depths[worker]}"
-                )
-        drift = self.drift_scores()
-        if drift:
-            lines.append(
-                f"# HELP {prefix}_drift_score Latest configuration-drift "
-                "score per model."
-            )
-            lines.append(f"# TYPE {prefix}_drift_score gauge")
-            for model in sorted(drift):
-                lines.append(
-                    f'{prefix}_drift_score{{model="{model}"}} {drift[model]}'
-                )
+        with self._lock:
+            counters = dict(self.counters)
+            gauges = {name: dict(v) for name, v in self._gauges.items()}
+            histograms = sorted(self._stage_hist.items())
+        for name, help_text in COUNTERS:
+            if help_text is not None:
+                emit(name, "counter", help_text, ("", counters[name]))
+        for name, label, help_text, encoding in GAUGES:
+            values = gauges[name]
+            if values:
+                emit(name, "gauge", help_text, *(
+                    (f'{{{label}="{key}"}}',
+                     encoding[v] if isinstance(encoding, dict) else v)
+                    for key, v in sorted(values.items())
+                ))
         emit("batch_occupancy_mean", "gauge",
              "Mean configurations per micro-batch.",
-             self.mean_batch_occupancy)
+             ("", self.mean_batch_occupancy))
         if self.cache is not None:
             stats = self.cache.stats()
             emit("cache_hits_total", "counter",
-                 "Prediction cache hits.", stats["hits"])
+                 "Prediction cache hits.", ("", stats["hits"]))
             emit("cache_misses_total", "counter",
-                 "Prediction cache misses.", stats["misses"])
+                 "Prediction cache misses.", ("", stats["misses"]))
             emit("cache_hit_rate", "gauge",
-                 "Prediction cache hit rate.", stats["hit_rate"])
+                 "Prediction cache hit rate.", ("", stats["hit_rate"]))
             emit("cache_entries", "gauge",
-                 "Resident cache entries.", stats["size"])
-        states = self.breaker_states()
-        if states:
-            lines.append(
-                f"# HELP {prefix}_breaker_state Circuit-breaker state per "
-                "model (0=closed, 1=half_open, 2=open)."
-            )
-            lines.append(f"# TYPE {prefix}_breaker_state gauge")
-            for model in sorted(states):
-                lines.append(
-                    f'{prefix}_breaker_state{{model="{model}"}} '
-                    f"{BREAKER_STATES[states[model]]}"
-                )
-        quantiles = self.latency_quantiles()
-        lines.append(
-            f"# HELP {prefix}_request_latency_seconds "
-            "Request latency over the recent window."
-        )
-        lines.append(f"# TYPE {prefix}_request_latency_seconds summary")
-        for name, value in quantiles.items():
-            q = int(name[1:]) / 100.0
-            lines.append(
-                f'{prefix}_request_latency_seconds{{quantile="{q}"}} {value}'
-            )
-        with self._lock:
-            histograms = sorted(self._stage_hist.items())
+                 "Resident cache entries.", ("", stats["size"]))
+        emit("request_latency_seconds", "summary",
+             "Request latency over the recent window.", *(
+                 (f'{{quantile="{int(name[1:]) / 100.0}"}}', value)
+                 for name, value in self.latency_quantiles().items()
+             ))
         if histograms:
             metric = f"{prefix}_stage_latency_seconds"
             lines.append(

@@ -432,7 +432,7 @@ class _Handler(BaseHTTPRequestHandler):
         ``Retry-After``, a blown deadline is 504, and anything else (a
         model, artifact or search failure) is 500.
         """
-        engine.metrics.record_error()
+        engine.metrics.count(errors_total=1)
         headers = None
         if isinstance(exc, _RequestError):
             status, body = exc.status, {"error": str(exc)}
@@ -899,6 +899,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry point
-    from ..cli import main as repro
+    from ..cli import run
 
-    sys.exit(repro(["serve", *sys.argv[1:]]))
+    sys.exit(run(main, sys.argv[1:]))

@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_trace(args: argparse.Namespace):
     path = Path(args.trace)
     if not path.is_file():
-        raise SystemExit(f"trace file not found: {path}")
+        raise ValueError(f"trace file not found: {path}")
     return ingest(path, fmt=args.format)
 
 

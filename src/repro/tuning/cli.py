@@ -39,18 +39,16 @@ def _parse_limits(pairs: List[str]) -> List[Dict[str, float]]:
     for pair in pairs:
         name, sep, raw = pair.partition("=")
         if not sep:
-            raise SystemExit(
-                f"--limit needs indicator=value, got {pair!r}"
-            )
+            raise ValueError(f"--limit needs indicator=value, got {pair!r}")
         if name not in OUTPUT_NAMES:
-            raise SystemExit(
+            raise ValueError(
                 f"--limit {name!r}: unknown indicator "
                 f"(expected one of {OUTPUT_NAMES})"
             )
         try:
             value = float(raw)
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"--limit {pair!r}: value must be a number"
             ) from None
         constraints.append({"indicator": name, "max_value": value})

@@ -163,7 +163,9 @@ class RecommendationEngine:
             if cache_span is not NOOP_SPAN:
                 cache_span.set_attribute("hit", cached is not None)
         if cached is not None:
-            self.metrics.record_recommendation(evals=0, cache_hit=True)
+            self.metrics.count(
+                recommendations_total=1, recommendation_cache_hits_total=1
+            )
             self._remember(cached, cached_hit=True)
             return dict(cached)
 
@@ -216,8 +218,9 @@ class RecommendationEngine:
                 "artifact_mtime_ns": int(entry.mtime_ns),
             }
         )
-        self.metrics.record_recommendation(
-            evals=result.evals, cache_hit=False
+        self.metrics.count(
+            recommendations_total=1,
+            recommendation_search_evals_total=result.evals,
         )
         self._cache_put(key, payload)
         self._remember(payload, cached_hit=False)
@@ -254,7 +257,7 @@ class RecommendationEngine:
             serving.max_inflight is not None
             and serving.inflight >= serving.max_inflight
         ):
-            self.metrics.record_shed()
+            self.metrics.count(shed_requests_total=1)
             raise OverloadedError(
                 retry_after=serving.retry_after_s,
                 message=(

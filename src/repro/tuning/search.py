@@ -3,8 +3,8 @@
 The paper reads its response surfaces by hand — find the valley, walk its
 trough.  :class:`SearchStrategy` automates the read against a *served*
 model: a low-discrepancy seed sweep (:func:`~repro.analysis.sobol.sobol_design`
-plus the corner grid, scored through the existing
-:class:`~repro.analysis.tuning.ConfigurationAdvisor`) brackets the
+plus the corner grid, predicted in one batch and scored by
+:meth:`~repro.tuning.objectives.Objective.score_rows`) brackets the
 promising region in one vectorized evaluation, and coordinate descent
 with step halving then refines the best seed — each round again a single
 batched evaluation, so an entire budget-256 search costs a handful of
@@ -23,10 +23,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.sobol import sobol_design
-from ..analysis.tuning import ConfigurationAdvisor
 from ..reliability.policies import Deadline
 from ..workload.sampler import ConfigSpace, full_factorial
-from ..workload.service import INPUT_NAMES, OUTPUT_NAMES, WorkloadConfig
+from ..workload.service import INPUT_NAMES, OUTPUT_NAMES
 from .objectives import Objective
 
 __all__ = ["SearchResult", "SearchStrategy"]
@@ -61,7 +60,7 @@ class SearchResult:
 
 
 class _CountingPredictor:
-    """Wrap a batch-evaluate callable as the advisor's ``model`` duck type.
+    """Wrap a batch-evaluate callable as a ``predict(matrix)`` model.
 
     Counts rows evaluated (the search budget's currency) and memoizes by
     quantized configuration so a revisited point never re-spends budget.
@@ -180,27 +179,13 @@ class SearchStrategy:
 
         # ---- seed sweep: one vectorized scoring pass over the region --
         n_seed = max(2, int(budget * self.seed_fraction))
-        seeds = self._seed_candidates(n_seed, seed)
-        advisor = ConfigurationAdvisor(
-            predictor,
-            scoring=objective.scoring_function(),
-            output_names=OUTPUT_NAMES,
-        )
-        ranked = advisor.evaluate(
-            [WorkloadConfig.from_vector(row) for row in seeds]
-        )
-        # Re-rank under the full objective (the advisor's scoring function
-        # cannot express configuration-dependent cost terms).
-        vectors = np.vstack([r.config.as_vector() for r in ranked])
-        outputs = np.vstack(
-            [[r.predicted[name] for name in OUTPUT_NAMES] for r in ranked]
-        )
+        vectors = self._seed_candidates(n_seed, seed)
+        outputs = predictor.predict(vectors)
         scores = objective.score_rows(outputs, vectors)
-        order = sorted(
-            range(len(ranked)),
+        best_i = min(
+            range(len(vectors)),
             key=lambda i: (-scores[i], tuple(vectors[i])),
         )
-        best_i = order[0]
         best_vector = vectors[best_i].copy()
         best_outputs = outputs[best_i].copy()
         best_score = float(scores[best_i])
@@ -235,11 +220,10 @@ class SearchStrategy:
             matrix = matrix[:remaining]
             outputs_m = predictor.predict(matrix)
             scores_m = objective.score_rows(outputs_m, matrix)
-            order_m = sorted(
+            top = min(
                 range(matrix.shape[0]),
                 key=lambda i: (-scores_m[i], tuple(matrix[i])),
             )
-            top = order_m[0]
             rounds += 1
             if scores_m[top] > best_score:
                 best_score = float(scores_m[top])

@@ -142,16 +142,23 @@ class TestMain:
         assert "# Workload characterization report" in text
         assert "Pareto frontier" in text
 
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["characterize", "--samples", "5"])
+    def test_too_few_samples_rejected(self, capsys):
+        assert main(["characterize", "--samples", "5"]) == 1
+        assert (
+            capsys.readouterr().err == "error: --samples must be at least 10\n"
+        )
 
-    def test_inverted_injection_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_inverted_injection_rejected(self, capsys):
+        assert (
             main(
                 ["characterize", "--backend", "analytic", "--injection",
                  "500", "400", "--samples", "12", "--fast"]
             )
+            == 1
+        )
+        assert capsys.readouterr().err == (
+            "error: --injection needs LOW < HIGH, got 500.0 400.0\n"
+        )
 
 
 class TestServeCLI:
@@ -174,3 +181,20 @@ class TestServeCLI:
         code = main(["serve", "--models-dir", str(tmp_path / "absent")])
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+
+    def test_module_entry_point_prints_one_error_line(self, tmp_path):
+        # runpy warns on stderr when the package import has already
+        # loaded the module it is about to run as __main__.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serving.server",
+             "--models-dir", "does-not-exist"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+            check=False,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr

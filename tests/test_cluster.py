@@ -447,7 +447,7 @@ class TestClusterEngine:
             assert _wait_for(
                 lambda: eng.supervisor.handle(primary).state == READY
             )
-            assert eng.metrics.worker_restarts_total >= 1
+            assert eng.metrics.counters["worker_restarts_total"] >= 1
 
     def test_all_workers_failed_degrades_to_surrogate(self, model_dir):
         with _engine(
@@ -488,7 +488,7 @@ class TestClusterEngine:
             result = eng.predict_detailed("paper", [CONFIG])
             assert result.degraded
             assert result.source == "surrogate:linear"
-            assert eng.metrics.worker_failovers_total == 1
+            assert eng.metrics.counters["worker_failovers_total"] == 1
 
     def test_no_workers_and_no_fallback_raises_overloaded(self, model_dir):
         with _engine(
@@ -592,7 +592,7 @@ class TestBackendParity:
         with pytest.raises(OverloadedError) as excinfo:
             backend.predict("paper", [CONFIG])
         assert excinfo.value.retry_after > 0
-        assert backend.metrics.shed_requests_total == 1
+        assert backend.metrics.counters["shed_requests_total"] == 1
         backend.shed_inflight = None
         assert backend.predict("paper", [CONFIG]).shape == (1, 5)
 
@@ -738,9 +738,11 @@ class TestChaos:
                 1 for r in results
                 if r.degraded or r.source == "surrogate:linear"
             )
-            failovers = eng.metrics.worker_failovers_total
+            failovers = eng.metrics.counters["worker_failovers_total"]
             assert killed + failovers >= 1
-            assert _wait_for(lambda: eng.metrics.worker_restarts_total >= 1)
+            assert _wait_for(
+                lambda: eng.metrics.counters["worker_restarts_total"] >= 1
+            )
             # And once restarted, the pool serves from real workers again.
             assert _wait_for(lambda: len(eng.supervisor.ready_ids()) == 2)
             recovered = eng.predict_detailed("paper", [CONFIG])
@@ -779,7 +781,7 @@ class TestPromoteDuringRestart:
             # monitor may not have noticed the corpse yet, so READY
             # alone could be the stale pre-kill state.
             assert _wait_for(
-                lambda: eng.metrics.worker_restarts_total >= 1
+                lambda: eng.metrics.counters["worker_restarts_total"] >= 1
                 and eng.supervisor.handle(0).state == READY
             )
             fresh = eng.predict_detailed("paper", [CONFIG])

@@ -62,6 +62,7 @@ from repro.reliability.faults import (
 )
 from repro.serving.batcher import BatcherClosedError, MicroBatcher
 from repro.serving.engine import ServingEngine
+from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 from repro.workload.service import INPUT_NAMES, OUTPUT_NAMES
 
@@ -249,16 +250,11 @@ class TestIntegrity:
         write_checksum(path)
         path.write_bytes(b"{ }")
 
-        class Counts:
-            failures = 0
-
-            def record_verify_failure(self):
-                Counts.failures += 1
-
-        guard = IntegrityGuard(metrics=Counts())
+        metrics = ServingMetrics()
+        guard = IntegrityGuard(metrics=metrics)
         with pytest.raises(ArtifactIntegrityError):
             guard.verify(path)
-        assert Counts.failures == 1
+        assert metrics.counters["artifact_verify_failures_total"] == 1
 
     def test_guard_handle_corrupt_quarantines_and_rolls_back(self, tmp_path):
         path = tmp_path / "m.json"
@@ -539,25 +535,15 @@ class TestRecoveryManager:
         with open(seg, "r+b") as handle:
             handle.truncate(seg.stat().st_size - 4)
 
-        class Metrics:
-            recovered = dropped = recoveries = 0
-
-            def record_journal_recovered(self, n=1):
-                Metrics.recovered += n
-
-            def record_journal_dropped(self, n=1):
-                Metrics.dropped += n
-
-            def record_recovery(self):
-                Metrics.recoveries += 1
-
+        metrics = ServingMetrics()
         report = RecoveryManager(
-            journal_dir=journal_dir, marker=tmp_path, metrics=Metrics()
+            journal_dir=journal_dir, marker=tmp_path, metrics=metrics
         ).run()
         assert report.journal["recovered"] == 7
         assert report.journal["dropped"] == 1
-        assert Metrics.recovered == 7 and Metrics.dropped == 1
-        assert Metrics.recoveries == 1
+        assert metrics.counters["journal_records_recovered_total"] == 7
+        assert metrics.counters["journal_records_dropped_total"] == 1
+        assert metrics.counters["recoveries_total"] == 1
 
     def test_report_serializes(self, tmp_path):
         report = RecoveryManager(marker=tmp_path).run()

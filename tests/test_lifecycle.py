@@ -173,10 +173,10 @@ class TestObservationLog:
         metrics = ServingMetrics()
         log = ObservationLog(sampling_rate=0.0, metrics=metrics)
         log.record("m", [1, 2, 3, 4])
-        assert metrics.observations_total == 0
+        assert metrics.counters["observations_total"] == 0
         log = ObservationLog(metrics=metrics)
         log.record("m", [1, 2, 3, 4])
-        assert metrics.observations_total == 1
+        assert metrics.counters["observations_total"] == 1
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -771,7 +771,8 @@ class TestEndToEndLifecycle:
                     measured=truth(row)[0],
                     source="driver",
                 )
-            assert metrics.observations_total == 0  # log not wired to metrics
+            # The log is not wired to the metrics.
+            assert metrics.counters["observations_total"] == 0
             quiet = orch.run_cycle("paper")
             assert not quiet.drift.drifted and not quiet.retrained
 
@@ -797,9 +798,9 @@ class TestEndToEndLifecycle:
             assert report.retrained and report.gate.passed
             assert report.version == 2  # v1 = adopted baseline
             assert report.promoted
-            assert metrics.retrains_total == 1
-            assert metrics.promotions_total == 1
-            assert metrics.drift_scores()["paper"] > 0.5
+            assert metrics.counters["retrains_total"] == 1
+            assert metrics.counters["promotions_total"] == 1
+            assert metrics.gauge("drift_score")["paper"] > 0.5
 
             # Phase 4 — the hot-reload registry serves the new version.
             candidate = orch.store.load_version("paper", 2)
@@ -814,7 +815,7 @@ class TestEndToEndLifecycle:
 
             # Phase 5 — rollback restores the prior artifact in one call.
             assert orch.rollback("paper") == 1
-            assert metrics.rollbacks_total == 1
+            assert metrics.counters["rollbacks_total"] == 1
             np.testing.assert_allclose(
                 engine.predict_one("paper", probe[0]),
                 baseline_probe,

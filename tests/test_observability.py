@@ -378,7 +378,7 @@ class TestMetricsBridge:
 
     def test_dict_snapshot_includes_stage_latencies(self):
         metrics = ServingMetrics()
-        metrics.observe_stage("cache.lookup", 0.002)
+        metrics.span_observer()({"name": "cache.lookup", "duration_s": 0.002})
         snapshot = metrics.to_dict()
         assert "cache.lookup" in snapshot["stage_latency_seconds"]
 
@@ -494,13 +494,18 @@ class TestTraceCli:
         assert "self" in out
 
     def test_show_unknown_prefix_fails(self, span_file, capsys):
+        from repro.cli import main
+
         assert (
-            trace_cli_main(
-                ["show", "ffffffffffff", "--file", str(span_file)]
+            main(
+                ["trace", "show", "ffffffffffff", "--file", str(span_file)]
             )
             == 1
         )
-        assert "no trace" in capsys.readouterr().err
+        assert (
+            capsys.readouterr().err
+            == "error: no trace matching 'ffffffffffff'\n"
+        )
 
     def test_missing_file_is_an_error_not_a_crash(self, tmp_path, capsys):
         from repro.cli import main

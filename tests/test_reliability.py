@@ -52,8 +52,8 @@ from repro.serving import (
     ServingClient,
     ServingEngine,
     ServingError,
-    create_server,
 )
+from repro.serving.server import create_server
 from repro.workload.service import INPUT_NAMES, ThreeTierWorkload, WorkloadConfig
 
 
@@ -712,8 +712,8 @@ class TestEngineDegradation:
         health = engine.health()
         assert health["status"] == DEGRADED
         assert health["breakers"]["paper"] == OPEN
-        assert engine.metrics.degraded_requests_total >= 3
-        assert engine.metrics.breaker_states()["paper"] == OPEN
+        assert engine.metrics.counters["degraded_requests_total"] >= 3
+        assert engine.metrics.gauge("breaker_state")["paper"] == OPEN
 
         # faults clear, a good artifact is redeployed, the reset timeout
         # lapses: the half-open probe must close the breaker again.
@@ -724,7 +724,7 @@ class TestEngineDegradation:
         result = engine.predict_detailed("paper", x[:3])
         assert not result.degraded and result.source == "mlp"
         assert engine.health()["status"] == HEALTHY
-        assert engine.metrics.breaker_states()["paper"] == CLOSED
+        assert engine.metrics.gauge("breaker_state")["paper"] == CLOSED
 
     def test_without_fallback_breaker_opens_and_refuses(
         self, tiny_model, tmp_path
@@ -758,7 +758,7 @@ class TestEngineDegradation:
         with pytest.raises(OverloadedError) as excinfo:
             engine.predict("paper", x[:1])
         assert excinfo.value.retry_after > 0
-        assert engine.metrics.shed_requests_total == 1
+        assert engine.metrics.counters["shed_requests_total"] == 1
         engine.shed_inflight = None
         assert engine.predict("paper", x[:1]).shape == (1, 5)
 

@@ -17,6 +17,7 @@ from repro.serving import (
     ServingEngine,
     ServingMetrics,
 )
+from repro.serving.metrics import COUNTERS, GAUGES
 from repro.workload.service import INPUT_NAMES, OUTPUT_NAMES
 
 
@@ -310,7 +311,7 @@ class TestServingMetrics:
         metrics.record_request(3, 0.010)
         metrics.record_request(1, 0.020)
         metrics.record_batch(4)
-        metrics.record_error()
+        metrics.count(errors_total=1)
         snapshot = metrics.to_dict()
         assert snapshot["requests_total"] == 2
         assert snapshot["predictions_total"] == 4
@@ -345,6 +346,51 @@ class TestServingMetrics:
         assert 'request_latency_seconds{quantile="0.5"}' in text
         assert text.endswith("\n")
 
+    def test_every_table_row_is_exposed(self):
+        metrics = ServingMetrics()
+        text = metrics.to_prometheus()
+        for name, *_ in GAUGES:
+            assert f"repro_serving_{name}" not in text  # empty: left out
+        for i, (name, _) in enumerate(COUNTERS):
+            metrics.count(**{name: i + 1})
+        for name, _, _, encoding in GAUGES:
+            value = list(encoding)[-1] if isinstance(encoding, dict) else 7
+            metrics.set_gauge(name, "k", value)
+        text = metrics.to_prometheus()
+        snapshot = metrics.to_dict()
+        for i, (name, help_text) in enumerate(COUNTERS):
+            assert snapshot[name] == metrics.counters[name] == i + 1
+            family = (
+                f"# HELP repro_serving_{name} {help_text}\n"
+                f"# TYPE repro_serving_{name} counter\n"
+                f"repro_serving_{name} {i + 1}\n"
+            )
+            if help_text is None:  # dict-only counter
+                assert f"repro_serving_{name}" not in text
+            else:
+                assert family in text
+        for name, label, help_text, encoding in GAUGES:
+            value = metrics.gauge(name)["k"]
+            assert snapshot[f"{name}s"] == {"k": value}
+            exposed = encoding[value] if isinstance(encoding, dict) else value
+            assert (
+                f"# HELP repro_serving_{name} {help_text}\n"
+                f"# TYPE repro_serving_{name} gauge\n"
+                f'repro_serving_{name}{{{label}="k"}} {exposed}\n'
+            ) in text
+        assert len({name for name, _ in COUNTERS}) == len(COUNTERS)
+        assert len({name for name, *_ in GAUGES}) == len(GAUGES)
+
+    def test_unknown_counter_and_state_are_rejected(self):
+        metrics = ServingMetrics()
+        with pytest.raises(KeyError):
+            metrics.count(bogus_total=1)
+        with pytest.raises(ValueError, match="unknown breaker state 'ajar'"):
+            metrics.set_gauge("breaker_state", "paper", "ajar")
+        with pytest.raises(ValueError, match="unknown worker state"):
+            metrics.set_gauge("worker_state", "0", "asleep")
+        assert metrics.gauge("breaker_state") == {}
+
 
 class TestServingEngine:
     def test_matches_direct_model_predictions(self, model_dir, tiny_model):
@@ -366,7 +412,7 @@ class TestServingEngine:
         model, x = tiny_model
         with ServingEngine(model_dir, batching=False) as engine:
             out = engine.predict("paper", x[:4])
-            assert engine.metrics.batches_total == 0
+            assert engine.metrics.counters["batches_total"] == 0
         np.testing.assert_allclose(out, model.predict(x[:4]), rtol=1e-10)
 
     def test_hot_reload_swaps_predictions_and_cache(self, model_dir):

@@ -291,6 +291,10 @@ class TestCli:
         assert main(["ingest", "ingest", str(path)]) == 1
         assert "error: 277777778 windows" in capsys.readouterr().err
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit):
-            self.run("ingest", "/nonexistent/trace.csv")
+    def test_missing_file(self, capsys):
+        from repro.cli import main
+
+        assert main(["ingest", "ingest", "/nonexistent/trace.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: trace file not found: /nonexistent/trace.csv\n"
+        )

@@ -370,13 +370,13 @@ class TestRecommendationEngine:
     def test_cache_hit_skips_search(self, engine):
         tuner = RecommendationEngine(engine, default_budget=32)
         first = tuner.recommend("paper", SLO)
-        evals_after_first = engine.metrics.recommendation_search_evals_total
+        counters = engine.metrics.counters
+        evals_after_first = counters["recommendation_search_evals_total"]
         second = tuner.recommend("paper", SLO)
         assert first == second
-        assert engine.metrics.recommendation_cache_hits_total == 1
+        assert counters["recommendation_cache_hits_total"] == 1
         assert (
-            engine.metrics.recommendation_search_evals_total
-            == evals_after_first
+            counters["recommendation_search_evals_total"] == evals_after_first
         )
 
     def test_identical_requests_byte_identical(self, engine):
@@ -445,7 +445,8 @@ class TestRecommendationEngine:
                 fresh["artifact_mtime_ns"] != stale["artifact_mtime_ns"]
             )
             assert fresh["predicted"] != stale["predicted"]
-            assert engine.metrics.recommendation_cache_hits_total == 0
+            hits = engine.metrics.counters["recommendation_cache_hits_total"]
+            assert hits == 0
         finally:
             engine.close()
 
@@ -497,13 +498,12 @@ class TestRecommendHTTP:
     def test_byte_identical_and_cache_counter(self, served):
         client, engine = served
         objective = SLO.to_dict()
-        hits_before = engine.metrics.recommendation_cache_hits_total
+        counters = engine.metrics.counters
+        hits_before = counters["recommendation_cache_hits_total"]
         a = client.recommend("paper", objective=objective, budget=48, seed=0)
         b = client.recommend("paper", objective=objective, budget=48, seed=0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        assert (
-            engine.metrics.recommendation_cache_hits_total == hits_before + 1
-        )
+        assert counters["recommendation_cache_hits_total"] == hits_before + 1
         assert set(a) >= {
             "config", "predicted", "score", "feasible", "rationale",
             "evals", "artifact_mtime_ns",
@@ -739,17 +739,23 @@ class TestTuneCLI:
         body = json.loads(capsys.readouterr().out)
         assert set(body["config"]) == set(INPUT_NAMES)
 
-    def test_bad_limit_flag(self):
-        from repro.tuning.cli import main as tune_main
+    def test_bad_limit_flag(self, capsys):
+        from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            tune_main(
-                ["recommend", "--model", "paper", "--limit", "nope=0.5"]
+        assert (
+            main(
+                ["tune", "recommend", "--model", "paper", "--limit",
+                 "nope=0.5"]
             )
-        with pytest.raises(SystemExit):
-            tune_main(
-                ["recommend", "--limit", "dealer_browse_rt"]
-            )
+            == 1
+        )
+        assert capsys.readouterr().err.startswith(
+            "error: --limit 'nope': unknown indicator"
+        )
+        assert main(["tune", "recommend", "--limit", "dealer_browse_rt"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --limit needs indicator=value, got 'dealer_browse_rt'\n"
+        )
 
     def test_server_error_exit_code(self, served, capsys):
         client, _ = served
